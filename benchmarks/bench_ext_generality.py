@@ -17,9 +17,8 @@ from repro import AdaptiveParams
 from repro.btree import (
     BTreeOffloadEngine,
     BTreeService,
-    KvCatfishSession,
     KvFmSession,
-    KvOffloadSession,
+    KvPolicySession,
     KvRequest,
     OP_GET,
 )
@@ -27,6 +26,7 @@ from repro.client import ClientStats
 from repro.cuckoo import CuckooOffloadEngine, CuckooService
 from repro.hw import Host
 from repro.net import IB_100G, Network
+from repro.runtime import Algorithm1Policy, AlwaysOffloadPolicy
 from repro.server import EVENT, FastMessagingServer, HeartbeatService
 from repro.sim import Simulator, all_of
 
@@ -126,13 +126,14 @@ def _btree_cluster(scheme, n_clients=24, n_ops=120, n_items=20_000):
         if scheme == "fast-messaging":
             session = fm
         elif scheme == "offload":
-            session = KvOffloadSession(engine, fm, stats)
+            session = KvPolicySession(sim, fm, engine, stats,
+                                      AlwaysOffloadPolicy())
         else:
-            session = KvCatfishSession(
-                sim, fm, engine, stats,
+            session = KvPolicySession(sim, fm, engine, stats, Algorithm1Policy(
+                sim, lambda fm=fm: fm.mailbox,
                 params=AdaptiveParams(N=8, T=0.95, Inv=0.2e-3),
                 rng=random.Random(100 + i),
-            )
+            ))
         crng = random.Random(200 + i)
 
         def driver(session=session, crng=crng, stats=stats):

@@ -8,17 +8,12 @@ in heartbeats and the fraction of its searches it offloaded in each
 window — the catfish turning its body as the water changes.
 """
 
-from repro.client import (
-    AdaptiveParams,
-    CatfishSession,
-    ClientStats,
-    OffloadEngine,
-    Request,
-)
+from repro.client import AdaptiveParams, ClientStats, OffloadEngine, Request
 from repro.client.fm_client import FmSession
 from repro.hw import Host
 from repro.net import IB_100G, Network
 from repro.rtree import Rect
+from repro.runtime import Algorithm1Policy, PolicySession
 from repro.server import EVENT, FastMessagingServer, HeartbeatService, RTreeServer
 from repro.sim import Simulator
 from repro.workloads import uniform_dataset
@@ -44,9 +39,10 @@ def main():
                          lambda hb: conn.server_post_response(hb))
     engine = OffloadEngine(sim, conn.client_end,
                            server.offload_descriptor(), server.costs, stats)
-    session = CatfishSession(
+    session = PolicySession(
         sim, fm, engine, stats,
-        params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
+        Algorithm1Policy(sim, lambda: fm.mailbox,
+                         params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3)),
     )
     heartbeats.start()
 
@@ -87,8 +83,8 @@ def main():
         print(f"{t * 1e3:7.1f}   {phase:>9}   {bar} ({offloads}/{total})")
 
     print(f"\nheartbeats delivered: {fm.heartbeats_seen}, "
-          f"busy observations: {session.busy_observations}, "
-          f"back-off extensions: {session.backoff_extensions}")
+          f"busy observations: {session.policy.busy_observations}, "
+          f"back-off extensions: {session.policy.backoff_extensions}")
     print("offloading concentrates inside the saturated window and "
           "drains away once\nthe heartbeats show the server recovered — "
           "Algorithm 1 in action.")

@@ -36,11 +36,9 @@ Quickstart::
 
 from .client import (
     AdaptiveParams,
-    CatfishSession,
     ClientStats,
     FmSession,
     OffloadEngine,
-    OffloadSession,
     Request,
     TcpSession,
 )
@@ -60,6 +58,7 @@ from .obs import (
     write_metrics_json,
 )
 from .rtree import RStarTree, Rect, bulk_load
+from .runtime import Algorithm1Policy, PolicySession
 from .shard import (
     PartialResult,
     ScatterGatherRouter,
@@ -94,11 +93,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AdaptiveParams",
-    "CatfishSession",
     "ClientStats",
     "FmSession",
     "OffloadEngine",
-    "OffloadSession",
     "Request",
     "TcpSession",
     "ExperimentConfig",
@@ -113,6 +110,8 @@ __all__ = [
     "snapshot_document",
     "write_metrics_json",
     "RStarTree",
+    "Algorithm1Policy",
+    "PolicySession",
     "Rect",
     "bulk_load",
     "PartialResult",

@@ -14,10 +14,8 @@ from .offload import (
     OP_PUT,
     OP_SCAN,
     BTreeOffloadEngine,
-    KvBanditSession,
-    KvCatfishSession,
     KvFmSession,
-    KvOffloadSession,
+    KvPolicySession,
     KvRequest,
 )
 from .service import (
@@ -41,10 +39,8 @@ __all__ = [
     "OP_PUT",
     "OP_SCAN",
     "BTreeOffloadEngine",
-    "KvBanditSession",
-    "KvCatfishSession",
     "KvFmSession",
-    "KvOffloadSession",
+    "KvPolicySession",
     "KvRequest",
     "BNodeSnapshot",
     "BTreeService",

@@ -6,15 +6,14 @@
   root→leaf with validated chunk reads; range scans multi-issue all the
   leaves the parent points into the range (the B+tree analogue of the
   R-tree's multi-issue);
-* :class:`KvCatfishSession` — Algorithm 1 unchanged, with B+tree reads as
-  the offloadable operations.
+* :class:`KvPolicySession` — any path policy (Algorithm 1 unchanged),
+  with B+tree reads as the offloadable operations.
 """
 
 from __future__ import annotations
 
 from typing import Generator, List, Optional, Tuple
 
-from ..client.adaptive import CatfishSession
 from ..client.base import ClientStats
 from ..client.fm_client import FmSession
 from ..client.offload_client import OffloadError
@@ -25,6 +24,7 @@ from ..msg.codec import (
     KvScanRequest,
     ResponseSegment,
 )
+from ..runtime.session import PolicySession
 from ..server.costs import CostModel
 from ..sim.kernel import Simulator
 from ..sim.resources import Store
@@ -303,8 +303,9 @@ class BTreeOffloadEngine:
         return None if failed else views
 
 
-class KvCatfishSession(CatfishSession):
-    """Algorithm 1 over B+tree operations — unchanged back-off logic."""
+class KvPolicySession(PolicySession):
+    """A path policy over B+tree operations: GETs and scans offload,
+    writes never."""
 
     def _is_offloadable(self, request: KvRequest) -> bool:
         return request.op in (OP_GET, OP_SCAN)
@@ -316,65 +317,4 @@ class KvCatfishSession(CatfishSession):
             result = yield from self.engine.scan(
                 request.lo, request.hi, request.max_results
             )
-        return result
-
-
-class KvBanditSession:
-    """ε-greedy latency bandit over B+tree reads (cf. client.bandit)."""
-
-    def __init__(self, sim, fm, engine, stats, epsilon=0.1, alpha=0.3,
-                 rng=None):
-        from ..client.bandit import BanditSession
-        # Compose rather than subclass: reuse the arm-selection machinery
-        # with KV dispatch.
-        self._bandit = BanditSession(sim, fm, engine, stats,
-                                     epsilon=epsilon, alpha=alpha, rng=rng)
-        self.sim = sim
-        self.fm = fm
-        self.engine = engine
-        self.stats = stats
-
-    @property
-    def mode_counts(self):
-        return self._bandit.mode_counts
-
-    def execute(self, request: KvRequest) -> Generator:
-        from ..client.bandit import OFFLOADING
-        if request.op not in (OP_GET, OP_SCAN):
-            result = yield from self.fm.execute(request)
-            return result
-        mode = self._bandit._choose_mode()
-        self._bandit.mode_counts[mode] += 1
-        start = self.sim.now
-        if mode == OFFLOADING:
-            if request.op == OP_GET:
-                result = yield from self.engine.get(request.key)
-            else:
-                result = yield from self.engine.scan(
-                    request.lo, request.hi, request.max_results)
-        else:
-            result = yield from self.fm.execute(request)
-        self._bandit.estimates[mode].update(self.sim.now - start)
-        return result
-
-
-class KvOffloadSession:
-    """Always-offload reads (the FaRM-style baseline for KV)."""
-
-    def __init__(self, engine: BTreeOffloadEngine, fm: KvFmSession,
-                 stats: ClientStats):
-        self.engine = engine
-        self.fm = fm
-        self.stats = stats
-
-    def execute(self, request: KvRequest) -> Generator:
-        if request.op == OP_GET:
-            result = yield from self.engine.get(request.key)
-            return result
-        if request.op == OP_SCAN:
-            result = yield from self.engine.scan(
-                request.lo, request.hi, request.max_results
-            )
-            return result
-        result = yield from self.fm.execute(request)
         return result

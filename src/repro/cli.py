@@ -321,14 +321,11 @@ def _parse_tenants(specs: Optional[List[str]]):
 
 
 def cmd_traffic(args) -> int:
-    from .cluster.schemes import TRANSPORT_TCP
     from .traffic import TrafficConfig
     from .traffic.harness import TrafficResult, rate_sweep, run_traffic
 
-    if SCHEMES[args.scheme].transport == TRANSPORT_TCP:
-        print(f"error: the traffic mux shares RDMA sessions; scheme "
-              f"{args.scheme!r} is TCP-based", file=sys.stderr)
-        return 2
+    # TCP schemes are not among --scheme's choices: the mux shares
+    # RDMA sessions.
     if not PROFILES[args.fabric].rdma:
         print(f"error: scheme {args.scheme!r} needs an RDMA fabric",
               file=sys.stderr)

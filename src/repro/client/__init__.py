@@ -1,7 +1,10 @@
-"""Client-side access schemes: TCP, fast messaging, offloading, Catfish."""
+"""Client-side access paths: TCP, fast messaging and one-sided offloading.
 
-from .adaptive import AdaptiveParams, CatfishSession, most_recent_utilization
-from .bandit import BanditSession, LatencyEstimate
+Path selection (Algorithm 1, the bandit, the fixed baselines) lives in
+:mod:`repro.runtime`: every RDMA client is a ``PolicySession``.
+"""
+
+from .adaptive import AdaptiveParams
 from .predictors import (
     EwmaPredictor,
     TrendPredictor,
@@ -17,15 +20,11 @@ from .base import (
     RequestIdAllocator,
 )
 from .fm_client import FmSession
-from .offload_client import OffloadEngine, OffloadError, OffloadSession
+from .offload_client import OffloadEngine, OffloadError
 from .tcp_client import TcpSession
 
 __all__ = [
     "AdaptiveParams",
-    "CatfishSession",
-    "most_recent_utilization",
-    "BanditSession",
-    "LatencyEstimate",
     "EwmaPredictor",
     "TrendPredictor",
     "make_predictor",
@@ -39,6 +38,5 @@ __all__ = [
     "FmSession",
     "OffloadEngine",
     "OffloadError",
-    "OffloadSession",
     "TcpSession",
 ]

@@ -1,98 +1,12 @@
 """The Catfish adaptive client — Algorithm 1 of the paper.
 
-The decision rule itself lives in
-:class:`~repro.runtime.policy.Algorithm1Policy` (see its docstring for
-the back-off algorithm) and the execution skeleton in
-:class:`~repro.runtime.session.PolicySession`; this module keeps the
-historical :class:`CatfishSession` facade — same constructor, same
-attribute surface (``r_busy``/``r_off``/counters are forwarded to the
-policy), same trace component — so tests, subclasses (B+tree, cuckoo)
-and dashboards are unaffected by the runtime-layer refactor.
+The decision rule lives in :class:`~repro.runtime.policy.Algorithm1Policy`
+and the execution skeleton in :class:`~repro.runtime.session.PolicySession`;
+an adaptive client is a ``PolicySession`` driving an ``Algorithm1Policy``.
+This module keeps the :class:`AdaptiveParams` import path that experiment
+configs and scripts use.
 """
 
-from __future__ import annotations
+from ..runtime.policy import AdaptiveParams
 
-import random
-from typing import Callable, Optional
-
-from ..obs.registry import MetricsRegistry
-from ..runtime.policy import AdaptiveParams, Algorithm1Policy
-from ..runtime.session import PolicySession
-from ..sim.kernel import Simulator
-from .base import ClientStats
-from .fm_client import FmSession
-from .offload_client import OffloadEngine
-from .predictors import most_recent
-from .resilience import CircuitBreaker
-
-#: The paper's default ``predUtil`` — kept as a public alias of the
-#: canonical :func:`repro.client.predictors.most_recent`.
-most_recent_utilization = most_recent
-
-__all__ = ["AdaptiveParams", "CatfishSession", "most_recent_utilization"]
-
-#: Attributes forwarded to the wrapped :class:`Algorithm1Policy`: the
-#: Algorithm 1 state, its tunables and the introspection counters.
-_POLICY_ATTRS = frozenset({
-    "params", "rng", "pred_util", "stale_after_missing",
-    "r_busy", "r_off", "_t0", "_last_seq", "_missing_streak",
-    "busy_observations", "backoff_extensions",
-    "heartbeats_consumed", "heartbeats_missing",
-    "decisions_offload", "decisions_fm",
-    "stale_resets", "offload_failovers",
-})
-
-
-class CatfishSession(PolicySession):
-    """Adaptive per-request scheme selection (Algorithm 1)."""
-
-    trace_component = "adaptive"
-
-    def __init__(
-        self,
-        sim: Simulator,
-        fm: FmSession,
-        engine: OffloadEngine,
-        stats: ClientStats,
-        params: AdaptiveParams = AdaptiveParams(),
-        rng: Optional[random.Random] = None,
-        pred_util: Callable[[float], float] = most_recent_utilization,
-        tracer=None,
-        breaker: Optional[CircuitBreaker] = None,
-        stale_after_missing: Optional[int] = None,
-    ):
-        policy = Algorithm1Policy(
-            sim,
-            # A callable so a session whose fast-messaging endpoint is
-            # swapped (failover tests) never strands the policy on a
-            # stale mailbox.
-            lambda: self.fm.mailbox,
-            params=params,
-            rng=rng,
-            pred_util=pred_util,
-            stale_after_missing=stale_after_missing,
-        )
-        super().__init__(sim, fm, engine, stats, policy,
-                         tracer=tracer, breaker=breaker)
-
-    # Forward the Algorithm 1 state so pre-refactor call sites (tests
-    # seed ``rng``/``_t0``, metrics read the counters) keep working.
-
-    def __getattr__(self, name):
-        policy = self.__dict__.get("policy")
-        if policy is not None and name in _POLICY_ATTRS:
-            return getattr(policy, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name, value):
-        if name in _POLICY_ATTRS and "policy" in self.__dict__:
-            setattr(self.policy, name, value)
-        else:
-            object.__setattr__(self, name, value)
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str = "adaptive") -> None:
-        """Adopt the Algorithm 1 counters into ``registry``."""
-        super().register_metrics(registry, prefix=prefix)
+__all__ = ["AdaptiveParams"]

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..obs.registry import Counter, LatencyView, MetricsRegistry
+from ..obs.registry import Counter
 from ..rtree.geometry import Rect
 from ..sim.monitor import LatencyRecorder
 
@@ -77,7 +77,7 @@ class ClientStats:
     The counters are :class:`~repro.obs.registry.Counter` objects — they
     behave exactly like ints (``stats.torn_retries += 1`` and comparisons
     keep working) while a :class:`~repro.obs.registry.MetricsRegistry`
-    can adopt them via :meth:`register_into` and observe live values.
+    pull gauge sums them across clients.
     """
 
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
@@ -107,21 +107,6 @@ class ClientStats:
     def offload_fraction(self) -> float:
         total = self.fast_messaging_requests + self.offloaded_requests
         return self.offloaded_requests / total if total else 0.0
-
-    def register_into(self, registry: MetricsRegistry,
-                      prefix: str = "client") -> None:
-        """Adopt every counter (and latency percentile views) into
-        ``registry`` under ``prefix``."""
-        for name in CLIENT_COUNTER_FIELDS:
-            registry.adopt(f"{prefix}.{name}", getattr(self, name))
-        registry.adopt(
-            f"{prefix}.latency_us",
-            LatencyView(self.latency, scale=1e6, unit="us"),
-        )
-        registry.adopt(
-            f"{prefix}.search_latency_us",
-            LatencyView(self.search_latency, scale=1e6, unit="us"),
-        )
 
 
 class RequestIdAllocator:

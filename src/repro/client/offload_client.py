@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import Counter
 from ..obs.trace import NULL_SPAN, NULL_TRACER
 from ..rtree import batch as _batch
 from ..rtree.geometry import Rect
@@ -46,7 +46,6 @@ from ..sim.kernel import Simulator
 from ..sim.resources import Store
 from ..transport.rdma import QpEndpoint
 from .base import OP_SEARCH, ClientStats, Request
-from .fm_client import FmSession
 from .node_cache import NodeCache
 
 #: Bytes of a meta read (root pointer + height + mutation mark).
@@ -102,16 +101,6 @@ class OffloadEngine:
         """Enable the client-side node cache (and read coalescing)."""
         self.cache = cache
         self._inflight_reads = {}
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str = "offload") -> None:
-        """Adopt the one-sided-traversal counters into ``registry``."""
-        registry.adopt(f"{prefix}.meta_reads", self.meta_reads)
-        registry.adopt(f"{prefix}.stale_root_detections",
-                       self.stale_root_detections)
-        registry.adopt(f"{prefix}.chunks_fetched", self.chunks_fetched)
-        if self.cache is not None:
-            self.cache.register_metrics(registry, prefix="cache")
 
     # -- low-level reads -----------------------------------------------------
 
@@ -702,24 +691,9 @@ class OffloadEngine:
         return None if failed else matches
 
 
-class OffloadSession:
-    """The paper's "RDMA offloading" scheme: one-sided reads, ring-buffer
-    writes."""
-
-    def __init__(self, engine: OffloadEngine, fm: FmSession,
-                 stats: ClientStats):
-        self.engine = engine
-        self.fm = fm
-        self.stats = stats
-
-    def execute(self, request: Request) -> Generator:
-        result = yield from dispatch_read(self.engine, request, self.fm)
-        return result
-
-
 def dispatch_read(engine: OffloadEngine, request: Request, fm) -> Generator:
     """Route a request to the right one-sided operation (or to fast
-    messaging for writes).  Shared by the offload and adaptive sessions."""
+    messaging for writes) — the offload path of every R-tree session."""
     from .base import OP_COUNT, OP_NEAREST
 
     if request.op == OP_SEARCH:

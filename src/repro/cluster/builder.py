@@ -1,46 +1,32 @@
-"""Assemble and run one experiment: server + N clients + fabric.
+"""The closed-loop driver: N synchronous clients against a deployment.
 
-This is the reproduction's equivalent of the paper's test driver: it
-builds the R-tree server on the chosen fabric, connects ``n_clients``
-independent clients running the chosen scheme, lets every client issue its
-request stream back-to-back (each client is synchronous, as in the paper),
-and aggregates throughput/latency/utilization into a :class:`RunResult`.
+This is the reproduction's equivalent of the paper's test driver: on a
+:class:`~repro.cluster.deployment.Deployment` it connects ``n_clients``
+independent clients running the chosen scheme, lets every client issue
+its request stream back-to-back (each client is synchronous, as in the
+paper), and aggregates throughput/latency/utilization into a
+:class:`RunResult`.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Any, Generator, List, Sequence
 
-from ..client.adaptive import CatfishSession
-from ..client.bandit import BanditSession
-from ..client.base import OP_SEARCH, ClientStats, Request
-from ..client.base import CLIENT_COUNTER_FIELDS
+from ..client.base import OP_SEARCH, ClientStats
 from ..faults.injector import FaultInjector
-from ..hw.host import Host
-from ..net.fabric import profile_by_name
-from ..obs import (
-    NULL_TRACER,
-    LatencyView,
-    MetricsRegistry,
-    Tracer,
-    snapshot_document,
-)
-from ..runtime.factory import SessionFactory
-from ..runtime.stack import ServerStack
-from ..sim.kernel import Simulator, all_of
-from ..sim.rng import RngRegistry
-from ..rtree import batch as _scan_kernel
-from ..workloads.datasets import uniform_dataset
+from ..obs import LatencyView
+from ..sim.kernel import Process, Simulator, all_of
 from ..workloads.mixes import batch_runs, make_workload
 from .config import ExperimentConfig
-from .results import RunResult, merge_client_stats
-from .schemes import TRANSPORT_TCP, scheme_spec
+from .deployment import Deployment
+from .results import TO_US, RunResult, merge_client_stats
+from .schemes import scheme_spec
 
 
-def _client_driver(
+def closed_loop_driver(
     sim: Simulator,
     session,
-    requests: List[Request],
+    requests: Sequence[Any],
     stats: ClientStats,
     injector: FaultInjector = None,
     client_id: int = 0,
@@ -56,218 +42,98 @@ def _client_driver(
     """
     batch_exec = getattr(session, "execute_search_batch", None)
     if batch_queries > 1 and batch_exec is not None:
-        for group in batch_runs(requests, batch_queries):
-            if injector is not None:
-                stall = injector.client_stall(client_id)
-                if stall > 0.0:
-                    yield sim.timeout(stall)
-            start = sim.now
-            if len(group) == 1:
-                yield from session.execute(group[0])
-            else:
-                yield from batch_exec(group)
-            elapsed = sim.now - start
-            for request in group:
-                stats.requests_sent += 1
-                stats.latency.record(elapsed)
-                if request.op == OP_SEARCH:
-                    stats.search_latency.record(elapsed)
-        return
-    for request in requests:
+        groups = batch_runs(requests, batch_queries)
+    else:
+        groups = ([request] for request in requests)
+    for group in groups:
         if injector is not None:
             stall = injector.client_stall(client_id)
             if stall > 0.0:
                 yield sim.timeout(stall)
         start = sim.now
-        yield from session.execute(request)
+        if len(group) == 1:
+            yield from session.execute(group[0])
+        else:
+            yield from batch_exec(group)
         elapsed = sim.now - start
-        stats.requests_sent += 1
-        stats.latency.record(elapsed)
-        if request.op == OP_SEARCH:
-            stats.search_latency.record(elapsed)
+        for request in group:
+            stats.requests_sent += 1
+            stats.latency.record(elapsed)
+            if request.op == OP_SEARCH:
+                stats.search_latency.record(elapsed)
 
 
-#: Algorithm 1 introspection counters aggregated cluster-wide.
-ADAPTIVE_AGGREGATE_FIELDS = (
-    "busy_observations", "backoff_extensions",
-    "heartbeats_consumed", "heartbeats_missing",
-    "decisions_offload", "decisions_fm",
-    "stale_resets", "offload_failovers",
-)
+class ExperimentRunner(Deployment):
+    """Builds the deployment for a config and runs it closed-loop.
 
-
-def register_session_aggregates(metrics: MetricsRegistry,
-                                sessions) -> None:
-    """Sum per-session client counters into cluster-wide pull gauges.
-
-    Shared by the single-server and sharded runners so every scheme's
-    client-side counters (offload engine, Algorithm 1, bandit) land in
-    the metrics document regardless of deployment shape.
+    Every client gets its own synchronous driver process; the run ends
+    when all of them finished their request streams.
     """
-    from ..runtime.policy import FAST_MESSAGING, OFFLOADING
 
-    engines = [e for e in (getattr(s, "engine", None) for s in sessions)
-               if e is not None]
-    if engines:
-        for field in ("meta_reads", "stale_root_detections",
-                      "chunks_fetched"):
-            metrics.expose(
-                f"offload.{field}",
-                lambda f=field: sum(int(getattr(e, f)) for e in engines),
-            )
-    caches = [e.cache for e in engines
-              if getattr(e, "cache", None) is not None]
-    if caches:
-        for field in ("hits", "misses", "invalidations", "coalesced_reads",
-                      "stores", "evictions", "hint_flushes"):
-            metrics.expose(
-                f"cache.{field}",
-                lambda f=field: sum(int(getattr(c, f)) for c in caches),
-            )
-        metrics.expose("cache.resident_nodes",
-                       lambda: sum(len(c) for c in caches))
-    adaptive = [s for s in sessions if isinstance(s, CatfishSession)]
-    if adaptive:
-        for field in ADAPTIVE_AGGREGATE_FIELDS:
-            metrics.expose(
-                f"adaptive.{field}",
-                lambda f=field: sum(int(getattr(s, f)) for s in adaptive),
-            )
-    bandits = [s for s in sessions if isinstance(s, BanditSession)]
-    if bandits:
-        for field in ("offload_failovers", "breaker_demotions"):
-            metrics.expose(
-                f"bandit.{field}",
-                lambda f=field: sum(int(getattr(s, f)) for s in bandits),
-            )
-        metrics.expose("bandit.explorations",
-                       lambda: sum(int(s.explorations) for s in bandits))
-        metrics.expose(
-            "bandit.mode_fm",
-            lambda: sum(s.mode_counts[FAST_MESSAGING] for s in bandits),
+    #: Closed-loop clients talk to the single server directly; the
+    #: sharded subclass routes them.
+    routed = False
+
+    def __init__(self, config: ExperimentConfig, record_results: bool = False):
+        super().__init__(config, routed=self.routed, record=record_results)
+        workload_fn = make_workload(
+            config.workload_kind,
+            scale_spec=config.scale,
+            n_requests=config.requests_per_client,
+            insert_fraction=config.insert_fraction,
+            queries=config.queries,
         )
-        metrics.expose(
-            "bandit.mode_offload",
-            lambda: sum(s.mode_counts[OFFLOADING] for s in bandits),
-        )
-
-
-class ExperimentRunner:
-    """Builds the cluster for a config and runs it to completion."""
-
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-        self.sim = Simulator()
-        self.rngs = RngRegistry(config.seed)
-        self.metrics = MetricsRegistry()
-        self.tracer = (
-            Tracer(self.sim, max_events=config.trace_max_events,
-                   components=config.trace_components)
-            if config.trace else NULL_TRACER
-        )
-        self.spec = scheme_spec(config.scheme)
-        self.profile = profile_by_name(config.fabric)
-        if self.spec.transport != TRANSPORT_TCP and not self.profile.rdma:
-            raise ValueError(
-                f"scheme {config.scheme!r} needs an RDMA fabric, "
-                f"got {config.fabric!r}"
-            )
-
-        self.injector = None
-        if config.fault_plan:
-            self.injector = FaultInjector(
-                self.sim, config.fault_plan,
-                rng=self.rngs.stream("faults"),
-            )
-
-        items = config.dataset
-        if items is None:
-            items = uniform_dataset(config.dataset_size, seed=config.seed)
-        self.stack = ServerStack(
-            self.sim, self.profile, self.spec, config, self.rngs, items,
-        )
-        if self.injector is not None:
-            self.stack.attach_injector(self.injector)
-        # Historical attribute surface (notebooks, tests, _collect).
-        self.network = self.stack.network
-        self.server_host = self.stack.host
-        self.server = self.stack.server
-        self.tcp_server = self.stack.tcp_server
-        self.fm_server = self.stack.fm_server
-        self.heartbeats = self.stack.heartbeats
-
-        self.factory = SessionFactory(
-            self.sim, self.spec, config, self.tracer,
-        )
-        self.client_stats: List[ClientStats] = []
-        self.sessions = []
-        self._drivers = []
+        self._drivers: List[Process] = []
         self._timeline: List[tuple] = []
-        self._build_clients()
-        if self.injector is not None:
-            # Started after the clients exist so WorkerCrash faults see
-            # every connection; storm targets re-resolve the root per
-            # window so splits are tolerated.
-            self.injector.start(
-                fm_server=self.fm_server,
-                storm_targets=lambda: [self.server.tree.root],
-            )
-        if self.heartbeats is not None:
-            self.heartbeats.start()
-        self._register_metrics()
+        self.elapsed_at_done = 0.0
+        for client_id in range(config.n_clients):
+            salt = f"client-{client_id}"
+            client = self.add_client(client_id, salt)
+            # The workload stream never depends on the deployment shape:
+            # routed runs are compared against the single-tree oracle.
+            rng = self.rngs.fork(salt).stream("workload")
+            requests = workload_fn(client_id, rng)
+            self._drivers.append(self.sim.process(
+                closed_loop_driver(self.sim, client, requests,
+                                   self.client_stats[-1],
+                                   injector=self.injector,
+                                   client_id=client_id,
+                                   batch_queries=config.batch_queries),
+                name=salt,
+            ))
+        self.start()
         if config.collect_timeline:
-            self.sim.process(self._timeline_sampler(), name="timeline")
+            self._register_timeline()
 
-    def _register_metrics(self) -> None:
-        """Hook every component into the metrics registry.
-
-        Server-side objects register their own counters; client-side
-        counters are per-session, so the cluster aggregates them into
-        pull gauges summed over all clients.
-        """
-        m = self.metrics
-        self.stack.register_metrics(m)
-        if self.injector is not None:
-            self.injector.register_metrics(m)
-
-        # Which scan kernel the whole run (server tree + offload views)
-        # is using: 1 = numpy broadcasts, 0 = the pure-Python fallback.
-        m.expose(
-            "rtree.scan_kernel_numpy",
-            lambda: 1 if _scan_kernel.kernel_name() == "numpy" else 0,
-        )
-
+    def _register_timeline(self) -> None:
+        """Windowed samplers plus the (t, cpu, offload fraction) trace."""
+        interval = self.config.heartbeat_interval
         stats_list = self.client_stats
-        for field in CLIENT_COUNTER_FIELDS:
-            m.expose(
-                f"client.{field}",
-                lambda f=field: sum(int(getattr(s, f)) for s in stats_list),
-            )
-        register_session_aggregates(m, self.sessions)
-
-        if self.config.collect_timeline:
-            alive = lambda: any(d.is_alive for d in self._drivers)
-            m.sampler(
-                self.sim, "series.cpu_utilization",
-                lambda: self.server_host.cpu.tracker.window_utilization(
-                    reset=False),
-                interval=self.config.heartbeat_interval, while_fn=alive,
-            )
-            m.sampler(
-                self.sim, "series.requests_completed",
-                lambda: sum(int(s.requests_sent) for s in stats_list),
-                interval=self.config.heartbeat_interval, while_fn=alive,
-            )
+        cpu = self.stacks[0].host.cpu
+        alive = lambda: any(d.is_alive for d in self._drivers)
+        self.metrics.sampler(
+            self.sim, "series.cpu_utilization",
+            lambda: cpu.tracker.window_utilization(reset=False),
+            interval=interval, while_fn=alive,
+        )
+        self.metrics.sampler(
+            self.sim, "series.requests_completed",
+            lambda: sum(int(s.requests_sent) for s in stats_list),
+            interval=interval, while_fn=alive,
+        )
+        self.sim.process(self._timeline_sampler(), name="timeline")
 
     def _timeline_sampler(self) -> Generator:
         """Sample (t, cpu_util, window offload fraction) periodically."""
         interval = self.config.heartbeat_interval
+        cpu = self.stacks[0].host.cpu
         prev_offload = prev_total = 0
         while any(d.is_alive for d in self._drivers):
             yield self.sim.timeout(interval)
-            offload = sum(s.offloaded_requests for s in self.client_stats)
+            offload = sum(int(s.offloaded_requests)
+                          for s in self.client_stats)
             total = sum(
-                s.offloaded_requests + s.fast_messaging_requests
+                int(s.offloaded_requests) + int(s.fast_messaging_requests)
                 for s in self.client_stats
             )
             window_total = total - prev_total
@@ -276,122 +142,60 @@ class ExperimentRunner:
                         if window_total else 0.0)
             self._timeline.append(
                 (self.sim.now,
-                 self.server_host.cpu.tracker.window_utilization(reset=False),
+                 cpu.tracker.window_utilization(reset=False),
                  fraction)
             )
             prev_offload, prev_total = offload, total
 
-    # -- construction ----------------------------------------------------------
-
-    def _build_clients(self) -> None:
-        config = self.config
-        workload_fn = make_workload(
-            config.workload_kind,
-            scale_spec=config.scale,
-            n_requests=config.requests_per_client,
-            insert_fraction=config.insert_fraction,
-            queries=config.queries,
-        )
-        for client_id in range(config.n_clients):
-            host = Host(
-                self.sim,
-                f"client-{client_id}",
-                self.profile,
-                cores=config.client_cores,
-            )
-            stats = ClientStats()
-            session = self.factory.build(
-                client_id, self.stack, host, stats,
-                self.rngs.fork(f"client-{client_id}"),
-            )
-            rng = self.rngs.fork(f"client-{client_id}").stream("workload")
-            requests = workload_fn(client_id, rng)
-            driver = self.sim.process(
-                _client_driver(self.sim, session, requests, stats,
-                               injector=self.injector,
-                               client_id=client_id,
-                               batch_queries=config.batch_queries),
-                name=f"client-{client_id}",
-            )
-            self.client_stats.append(stats)
-            self.sessions.append(session)
-            self._drivers.append(driver)
-
     # -- execution ---------------------------------------------------------------
 
+    def drive(self, limit: float = float("inf")) -> None:
+        """Run until every client finished its request stream.
+
+        Raises :class:`~repro.sim.kernel.SimulationError` when ``limit``
+        simulated seconds pass first.  Foreground accounting (elapsed,
+        throughput) is frozen at the moment the last driver finished.
+        """
+        self.sim.run_until_triggered(all_of(self.sim, self._drivers),
+                                     limit=limit)
+        self.elapsed_at_done = self.sim.now
+
     def run(self) -> RunResult:
-        """Run until every client finished its request stream."""
-        done = all_of(self.sim, self._drivers)
-        self.sim.run_until_triggered(done)
+        """Drive every client to completion, settle, collect."""
+        self.drive()
+        self.settle()
         return self._collect()
+
+    def _extra(self) -> dict:
+        """RunResult.extra payload (excluded from result fingerprints)."""
+        return {}
 
     def _collect(self) -> RunResult:
         config = self.config
-        elapsed = self.sim.now
+        elapsed = self.elapsed_at_done
         merged = merge_client_stats(self.client_stats)
         total = int(merged.requests_sent)
         throughput_kops = (total / elapsed / 1e3) if elapsed > 0 else 0.0
-        to_us = 1e6
-        self.metrics.adopt(
-            "client.latency_us",
-            LatencyView(merged.latency, scale=to_us, unit="us",
-                        loop="closed"),
-        )
-        self.metrics.adopt(
-            "client.search_latency_us",
-            LatencyView(merged.search_latency, scale=to_us, unit="us",
-                        loop="closed"),
-        )
-        result = RunResult(
-            scheme=config.scheme,
-            fabric=config.fabric,
-            n_clients=config.n_clients,
-            total_requests=total,
-            elapsed_s=elapsed,
-            throughput_kops=throughput_kops,
-            mean_latency_us=merged.latency.mean * to_us,
-            p50_latency_us=merged.latency.percentile(50) * to_us,
-            p99_latency_us=merged.latency.percentile(99) * to_us,
-            p999_latency_us=merged.latency.percentile(99.9) * to_us,
-            mean_search_latency_us=(
-                merged.search_latency.mean * to_us
-                if merged.search_latency.count
-                else float("nan")
-            ),
-            server_cpu_utilization=self.server_host.cpu.utilization(),
-            server_bandwidth_gbps=self.network.server_bandwidth_gbps(),
-            server_bandwidth_utilization=(
-                self.network.server_bandwidth_gbps() * 1e9
-                / self.profile.bandwidth_bps
-            ),
-            offload_fraction=merged.offload_fraction,
-            torn_retries=int(merged.torn_retries),
-            search_restarts=int(merged.search_restarts),
-            heartbeats_sent=(
-                int(self.heartbeats.beats_sent) if self.heartbeats else 0
-            ),
-            heartbeats_dropped=(
-                int(self.heartbeats.beats_dropped) if self.heartbeats else 0
-            ),
-            searches_served_by_server=self.server.searches_served,
-            inserts_served=self.server.inserts_served,
+        for name, recorder in (("client.latency_us", merged.latency),
+                               ("client.search_latency_us",
+                                merged.search_latency)):
+            self.metrics.adopt(name, LatencyView(recorder, scale=TO_US,
+                                                 unit="us", loop="closed"))
+        return self.collect(
+            merged.latency, merged.search_latency, total, elapsed,
+            throughput_kops, config.n_clients,
+            meta={
+                "n_clients": config.n_clients,
+                "n_shards": self.n_shards,
+                "requests_per_client": config.requests_per_client,
+                "workload": config.workload_kind,
+                "elapsed_s": elapsed,
+                "throughput_kops": throughput_kops,
+            },
+            counters=merged,
+            extra=self._extra(),
             timeline=list(self._timeline),
-            metrics=snapshot_document(
-                self.metrics,
-                tracer=self.tracer if config.trace else None,
-                meta={
-                    "scheme": config.scheme,
-                    "fabric": config.fabric,
-                    "n_clients": config.n_clients,
-                    "requests_per_client": config.requests_per_client,
-                    "workload": config.workload_kind,
-                    "seed": config.seed,
-                    "elapsed_s": elapsed,
-                    "throughput_kops": throughput_kops,
-                },
-            ),
         )
-        return result
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:

@@ -1,38 +1,48 @@
 """Experiment assembly for the §VI framework extensions (B+tree, cuckoo).
 
-Mirrors :mod:`repro.cluster.builder` for key-value indexes: zipf-popular
-GET/PUT (and, for the B+tree, range-scan) workloads over the same fabric,
-ring-buffer and adaptive-client machinery.
+Zipf-popular GET/PUT (and, for the B+tree, range-scan) workloads over the
+same fabric, ring buffers and path policies as the R-tree.  The index
+servers keep their own construction (the R-tree's
+:class:`~repro.runtime.stack.ServerStack` is specific to the R-tree);
+clients are ``PolicySession`` subclasses per index, driven by the shared
+closed-loop driver and summarised by the shared result collector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Any, List, Optional
 
 from ..btree import (
     BTreeOffloadEngine,
     BTreeService,
-    KvBanditSession,
-    KvCatfishSession,
     KvFmSession,
-    KvOffloadSession,
+    KvPolicySession,
     KvRequest,
     OP_GET,
     OP_PUT,
     OP_SCAN,
 )
-from ..client.adaptive import AdaptiveParams
 from ..client.base import CLIENT_COUNTER_FIELDS, ClientStats
-from ..cuckoo import CuckooOffloadEngine, CuckooService
+from ..cuckoo import CuckooOffloadEngine, CuckooPolicySession, CuckooService
 from ..hw.host import Host
 from ..net.fabric import Network, profile_by_name
 from ..obs import LatencyView, MetricsRegistry, snapshot_document
+from ..runtime.policy import (
+    AdaptiveParams,
+    Algorithm1Policy,
+    AlwaysFmPolicy,
+    AlwaysOffloadPolicy,
+    BanditPolicy,
+    PathPolicy,
+)
 from ..server.fast_messaging import EVENT, FastMessagingServer
 from ..server.heartbeat import HeartbeatService
 from ..sim.kernel import Simulator, all_of
 from ..sim.rng import RngRegistry
-from .results import RunResult, merge_client_stats
+from .builder import closed_loop_driver
+from .deployment import expose_sums
+from .results import TO_US, RunResult, merge_client_stats, summarize
 
 KV_SCHEMES = ("fast-messaging", "rdma-offloading", "catfish",
               "catfish-bandit")
@@ -118,6 +128,7 @@ def run_kv_experiment(config: KvExperimentConfig) -> RunResult:
     data_rng = rngs.stream("dataset")
     keys = sorted(data_rng.sample(range(1 << 40), config.n_keys))
     items = [(k, k ^ 0x5A5A) for k in keys]
+    service: Any
     if config.index == "btree":
         service = BTreeService(sim, server_host, items,
                                capacity=config.capacity)
@@ -134,8 +145,10 @@ def run_kv_experiment(config: KvExperimentConfig) -> RunResult:
         interval=config.heartbeat_interval,
     )
 
+    session_cls = (KvPolicySession if config.index == "btree"
+                   else CuckooPolicySession)
     all_stats: List[ClientStats] = []
-    engines = []
+    engines: List[Any] = []
     drivers = []
     for client_id in range(config.n_clients):
         host = Host(sim, f"client-{client_id}", profile,
@@ -147,6 +160,7 @@ def run_kv_experiment(config: KvExperimentConfig) -> RunResult:
             conn.response_ring,
             lambda hb, c=conn: c.server_post_response(hb),
         )
+        engine: Any
         if config.index == "btree":
             engine = BTreeOffloadEngine(
                 sim, conn.client_end, service.offload_descriptor(),
@@ -157,14 +171,15 @@ def run_kv_experiment(config: KvExperimentConfig) -> RunResult:
                 sim, conn.client_end, service.descriptor(),
                 service.costs, stats,
             )
-        session = _make_session(sim, config, fm, engine, stats,
-                                rngs.fork(f"client-{client_id}"))
-        requests = _kv_workload(
-            config, keys,
-            rngs.fork(f"client-{client_id}").stream("workload"),
+        client_rngs = rngs.fork(f"client-{client_id}")
+        session = session_cls(
+            sim, fm, engine, stats,
+            _path_policy(sim, config, fm, client_rngs),
         )
+        requests = _kv_workload(config, keys,
+                                client_rngs.stream("workload"))
         drivers.append(sim.process(
-            _driver(sim, session, requests, stats),
+            closed_loop_driver(sim, session, requests, stats),
             name=f"kv-client-{client_id}",
         ))
         all_stats.append(stats)
@@ -177,56 +192,39 @@ def run_kv_experiment(config: KvExperimentConfig) -> RunResult:
     metrics.expose("server.cpu_utilization", server_host.cpu.utilization)
     metrics.expose("net.server_bandwidth_gbps",
                    network.server_bandwidth_gbps)
-    for field in CLIENT_COUNTER_FIELDS:
-        metrics.expose(
-            f"client.{field}",
-            lambda f=field: sum(int(getattr(s, f)) for s in all_stats),
-        )
+    expose_sums(metrics, "client", all_stats, CLIENT_COUNTER_FIELDS)
     # The two engine families count different things (meta/chunk reads vs
     # bucket fetches): expose whatever this index's engine actually has.
-    for field in ("meta_reads", "chunks_fetched", "buckets_fetched",
-                  "stale_root_detections"):
-        if any(hasattr(e, field) for e in engines):
-            metrics.expose(
-                f"offload.{field}",
-                lambda f=field: sum(int(getattr(e, f, 0)) for e in engines),
-            )
+    expose_sums(metrics, "offload", engines, [
+        f for f in ("meta_reads", "chunks_fetched", "buckets_fetched",
+                    "stale_root_detections") if hasattr(engines[0], f)
+    ])
 
     sim.run_until_triggered(all_of(sim, drivers))
 
     merged = merge_client_stats(all_stats)
     elapsed = sim.now
-    to_us = 1e6
+    total = int(merged.requests_sent)
     metrics.adopt("client.latency_us",
-                  LatencyView(merged.latency, scale=to_us, unit="us",
+                  LatencyView(merged.latency, scale=TO_US, unit="us",
                               loop="closed"))
-    return RunResult(
-        scheme=f"{config.index}:{config.scheme}",
+    scheme = f"{config.index}:{config.scheme}"
+    return summarize(
+        scheme=scheme,
         fabric=config.fabric,
         n_clients=config.n_clients,
-        total_requests=int(merged.requests_sent),
+        total_requests=total,
         elapsed_s=elapsed,
-        throughput_kops=int(merged.requests_sent) / elapsed / 1e3,
-        mean_latency_us=merged.latency.mean * to_us,
-        p50_latency_us=merged.latency.percentile(50) * to_us,
-        p99_latency_us=merged.latency.percentile(99) * to_us,
-        p999_latency_us=merged.latency.percentile(99.9) * to_us,
-        mean_search_latency_us=(
-            merged.search_latency.mean * to_us
-            if merged.search_latency.count else float("nan")
-        ),
-        server_cpu_utilization=server_host.cpu.utilization(),
-        server_bandwidth_gbps=network.server_bandwidth_gbps(),
-        server_bandwidth_utilization=(
-            network.server_bandwidth_gbps() * 1e9 / profile.bandwidth_bps
-        ),
-        offload_fraction=merged.offload_fraction,
-        torn_retries=int(merged.torn_retries),
-        search_restarts=int(merged.search_restarts),
-        heartbeats_sent=int(heartbeats.beats_sent),
-        heartbeats_dropped=int(heartbeats.beats_dropped),
+        throughput_kops=total / elapsed / 1e3,
+        latency=merged.latency,
+        search_latency=merged.search_latency,
+        counters=merged,
+        cpu_utilization=server_host.cpu.utilization(),
+        bandwidth_gbps=network.server_bandwidth_gbps(),
+        link_bps=profile.bandwidth_bps,
+        heartbeats=[heartbeats],
         metrics=snapshot_document(metrics, meta={
-            "scheme": f"{config.index}:{config.scheme}",
+            "scheme": scheme,
             "fabric": config.fabric,
             "n_clients": config.n_clients,
             "requests_per_client": config.requests_per_client,
@@ -236,75 +234,16 @@ def run_kv_experiment(config: KvExperimentConfig) -> RunResult:
     )
 
 
-def _make_session(sim, config, fm, engine, stats, rng_registry):
-    scheme = config.scheme
-    if scheme == "fast-messaging":
-        return fm
-    if scheme == "rdma-offloading":
-        if config.index == "cuckoo":
-            return _CuckooOffloadAll(engine, fm)
-        return KvOffloadSession(engine, fm, stats)
-    if scheme == "catfish":
-        if config.index == "cuckoo":
-            from ..cuckoo import CuckooCatfishSession
-            cls = CuckooCatfishSession
-        else:
-            cls = KvCatfishSession
-        return cls(sim, fm, engine, stats, params=config.adaptive,
-                   rng=rng_registry.stream("backoff"))
-    if scheme == "catfish-bandit":
-        if config.index == "cuckoo":
-            return _CuckooBandit(sim, fm, engine, stats,
-                                 rng=rng_registry.stream("bandit"))
-        return KvBanditSession(sim, fm, engine, stats,
-                               rng=rng_registry.stream("bandit"))
-    raise ValueError(scheme)
-
-
-class _CuckooOffloadAll:
-    """Cuckoo always-offload baseline: GETs one-sided, writes via rings."""
-
-    def __init__(self, engine, fm):
-        self.engine = engine
-        self.fm = fm
-
-    def execute(self, request: KvRequest) -> Generator:
-        if request.op == OP_GET:
-            result = yield from self.engine.get(request.key)
-            return result
-        result = yield from self.fm.execute(request)
-        return result
-
-
-class _CuckooBandit:
-    """Latency bandit over cuckoo GETs."""
-
-    def __init__(self, sim, fm, engine, stats, rng=None):
-        from ..client.bandit import BanditSession
-        self._bandit = BanditSession(sim, fm, engine, stats, rng=rng)
-        self.sim = sim
-        self.fm = fm
-        self.engine = engine
-
-    def execute(self, request: KvRequest) -> Generator:
-        from ..client.bandit import OFFLOADING
-        if request.op != OP_GET:
-            result = yield from self.fm.execute(request)
-            return result
-        mode = self._bandit._choose_mode()
-        self._bandit.mode_counts[mode] += 1
-        start = self.sim.now
-        if mode == OFFLOADING:
-            result = yield from self.engine.get(request.key)
-        else:
-            result = yield from self.fm.execute(request)
-        self._bandit.estimates[mode].update(self.sim.now - start)
-        return result
-
-
-def _driver(sim, session, requests, stats) -> Generator:
-    for request in requests:
-        start = sim.now
-        yield from session.execute(request)
-        stats.requests_sent += 1
-        stats.latency.record(sim.now - start)
+def _path_policy(sim, config: KvExperimentConfig, fm,
+                 rngs: RngRegistry) -> PathPolicy:
+    """The scheme's path policy for one client (the R-tree's stream
+    names: ``backoff`` for Algorithm 1, ``bandit`` for the learner)."""
+    if config.scheme == "fast-messaging":
+        return AlwaysFmPolicy()
+    if config.scheme == "rdma-offloading":
+        return AlwaysOffloadPolicy()
+    if config.scheme == "catfish":
+        return Algorithm1Policy(sim, lambda: fm.mailbox,
+                                params=config.adaptive,
+                                rng=rngs.stream("backoff"))
+    return BanditPolicy(rng=rngs.stream("bandit"))

@@ -5,9 +5,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 
 from ..client.base import ClientStats
+from ..sim.monitor import LatencyRecorder
+
+#: Seconds to microseconds, the unit of every latency field.
+TO_US = 1e6
+
 
 @dataclass
 class RunResult:
@@ -114,3 +119,56 @@ def merge_client_stats(all_stats: List[ClientStats]) -> ClientStats:
             counter += int(getattr(stats, name))
             setattr(merged, name, counter)
     return merged
+
+
+def summarize(
+    *,
+    scheme: str,
+    fabric: str,
+    n_clients: int,
+    total_requests: int,
+    elapsed_s: float,
+    throughput_kops: float,
+    latency: LatencyRecorder,
+    search_latency: LatencyRecorder,
+    counters: ClientStats,
+    cpu_utilization: float,
+    bandwidth_gbps: float,
+    link_bps: float,
+    heartbeats: Sequence,
+    **fields: Any,
+) -> RunResult:
+    """The one :class:`RunResult` collector of every driver.
+
+    ``latency``/``search_latency`` are the recorders the run is judged
+    by (closed loop: the clients' request latency; open loop: sojourn
+    time), ``counters`` the merged client counters, ``link_bps`` the
+    summed server link capacity and ``heartbeats`` every server's
+    heartbeat service.  ``fields`` carries the remaining
+    :class:`RunResult` fields verbatim.
+    """
+    return RunResult(
+        scheme=scheme,
+        fabric=fabric,
+        n_clients=n_clients,
+        total_requests=total_requests,
+        elapsed_s=elapsed_s,
+        throughput_kops=throughput_kops,
+        mean_latency_us=latency.mean * TO_US,
+        p50_latency_us=latency.percentile(50) * TO_US,
+        p99_latency_us=latency.percentile(99) * TO_US,
+        p999_latency_us=latency.percentile(99.9) * TO_US,
+        mean_search_latency_us=(
+            search_latency.mean * TO_US if search_latency.count
+            else float("nan")
+        ),
+        server_cpu_utilization=cpu_utilization,
+        server_bandwidth_gbps=bandwidth_gbps,
+        server_bandwidth_utilization=bandwidth_gbps * 1e9 / link_bps,
+        offload_fraction=counters.offload_fraction,
+        torn_retries=int(counters.torn_retries),
+        search_restarts=int(counters.search_restarts),
+        heartbeats_sent=sum(int(hb.beats_sent) for hb in heartbeats),
+        heartbeats_dropped=sum(int(hb.beats_dropped) for hb in heartbeats),
+        **fields,
+    )

@@ -3,9 +3,9 @@
 from .service import (
     BUCKET_BYTES,
     BucketSnapshot,
-    CuckooCatfishSession,
     CuckooDescriptor,
     CuckooOffloadEngine,
+    CuckooPolicySession,
     CuckooService,
     snapshot_bucket,
 )
@@ -21,9 +21,9 @@ from .table import (
 __all__ = [
     "BUCKET_BYTES",
     "BucketSnapshot",
-    "CuckooCatfishSession",
     "CuckooDescriptor",
     "CuckooOffloadEngine",
+    "CuckooPolicySession",
     "CuckooService",
     "snapshot_bucket",
     "DEFAULT_SLOTS",

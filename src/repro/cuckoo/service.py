@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from ..client.adaptive import CatfishSession
 from ..client.base import ClientStats
 from ..client.offload_client import OffloadError
 from ..hw.host import Host
@@ -28,6 +27,7 @@ from ..msg.codec import (
 )
 from ..rtree.locks import TreeLockManager
 from ..rtree.versioning import WriteTracker
+from ..runtime.session import PolicySession
 from ..server.costs import DEFAULT_COSTS, CostModel
 from ..sim.kernel import Simulator
 from ..sim.resources import Store
@@ -134,9 +134,6 @@ class CuckooService:
             slots_per_bucket=self.table.slots_per_bucket,
             seed=self.table.seed,
         )
-
-    def bucket_address(self, index: int) -> int:
-        return self.region.base + index * BUCKET_BYTES
 
     # -- execution -----------------------------------------------------------
 
@@ -285,8 +282,8 @@ class CuckooOffloadEngine:
         return items
 
 
-class CuckooCatfishSession(CatfishSession):
-    """Algorithm 1 over cuckoo operations: GETs offload, writes never."""
+class CuckooPolicySession(PolicySession):
+    """A path policy over cuckoo operations: GETs offload, writes never."""
 
     def _is_offloadable(self, request) -> bool:
         return request.op == "get"

@@ -33,30 +33,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..client.adaptive import AdaptiveParams, CatfishSession
-from ..client.base import ClientStats, OP_SEARCH, Request
-from ..client.fm_client import FmSession
-from ..client.node_cache import NodeCache, NodeCacheConfig
-from ..client.offload_client import OffloadEngine, OffloadError
+from ..client.base import OP_SEARCH, Request
+from ..client.node_cache import NodeCacheConfig
+from ..client.offload_client import OffloadError
 from ..client.resilience import (
     BreakerParams,
-    CircuitBreaker,
     RequestTimeoutError,
     RetryPolicy,
 )
-from ..hw.host import Host
-from ..msg.ringbuffer import DEFAULT_RING_CAPACITY
-from ..net.fabric import IB_100G, Network
 from ..rtree.geometry import Rect
-from ..server.base import RTreeServer
-from ..server.fast_messaging import EVENT, FastMessagingServer
-from ..server.heartbeat import HeartbeatService
-from ..sim.kernel import SimulationError, Simulator, all_of
-from ..sim.rng import RngRegistry
-from ..workloads.datasets import uniform_dataset
-from .injector import FaultInjector
+from ..runtime.policy import AdaptiveParams
+from ..sim.kernel import SimulationError, all_of
 from .plan import (
     BOTH,
     ClientStall,
@@ -90,7 +79,6 @@ class ChaosConfig:
     dataset_size: int = 2000
     max_entries: int = 16
     server_cores: int = 4
-    ring_capacity: int = DEFAULT_RING_CAPACITY
     #: Query rectangle edge (uniform centres over the unit square).
     query_scale: float = 0.03
 
@@ -135,6 +123,30 @@ class ChaosConfig:
     def total_requests(self) -> int:
         return self.n_clients * self.requests_per_client
 
+    def experiment_config(self, **overrides):
+        """The :class:`~repro.cluster.config.ExperimentConfig` a chaos
+        deployment runs: this config's sizing, timing and resilience
+        settings on the 100G fabric, plus ``overrides``."""
+        # Imported here: the cluster layer imports repro.faults.
+        from ..cluster.config import ExperimentConfig
+        settings = dict(
+            fabric="ib-100g",
+            n_clients=self.n_clients,
+            requests_per_client=self.requests_per_client,
+            dataset_size=self.dataset_size,
+            max_entries=self.max_entries,
+            server_cores=self.server_cores,
+            adaptive=self.adaptive,
+            heartbeat_interval=self.heartbeat_interval,
+            seed=self.seed,
+            retry=self.retry,
+            breaker=self.breaker,
+            stale_after_missing=self.stale_after_missing,
+            max_queue_depth=self.max_queue_depth,
+        )
+        settings.update(overrides)
+        return ExperimentConfig(**settings)
+
 
 @dataclass(frozen=True)
 class ChaosScenario:
@@ -148,7 +160,7 @@ class ChaosScenario:
     #: Injection counters (keys of ``_FIRED_COUNTERS``) that must be > 0.
     fired_checks: Tuple[str, ...] = ()
     #: Custom harness: when set, :func:`run_scenario` hands the resolved
-    #: config to this callable instead of the single-server ``_Cluster``
+    #: config to this callable instead of the single-server deployment
     #: (the sharded scenarios bring their own cluster and invariants).
     runner: Optional[Callable[[ChaosConfig], "ScenarioReport"]] = None
 
@@ -377,112 +389,62 @@ SCENARIOS: Dict[str, ChaosScenario] = {
 
 # -- the harness -------------------------------------------------------------
 
-class _Cluster:
-    """One scenario's simulated stack (built fresh per run)."""
+def _deployment(cfg: ChaosConfig, plan: FaultPlan):
+    """One scenario's single-server deployment (built fresh per run).
 
-    def __init__(self, cfg: ChaosConfig, plan: FaultPlan):
-        self.cfg = cfg
-        sim = self.sim = Simulator()
-        rngs = self.rngs = RngRegistry(cfg.seed)
-        self.injector = FaultInjector(sim, plan, rng=rngs.stream("faults"))
+    The ``catfish`` scheme in event mode with heartbeats, retries, an
+    offload circuit breaker per client and the stale-heartbeat guard.
+    Two settings are chaos-specific and applied to the built sessions:
+    the tight offload budgets (a write storm must produce OffloadErrors
+    in microseconds) and Algorithm 1 drawing its back-off windows from
+    the per-client ``adaptive`` stream.
+    """
+    # Imported here: the cluster layer imports repro.faults.
+    from ..cluster.deployment import Deployment
 
-        net = self.net = Network(sim, IB_100G)
-        server_host = Host(sim, "server", IB_100G, cores=cfg.server_cores)
-        net.attach_server(server_host)
-        self.injector.attach_network(net)
-        self.injector.attach_host(server_host)
-
-        self.server = RTreeServer(
-            sim, server_host,
-            uniform_dataset(cfg.dataset_size, seed=cfg.seed),
-            max_entries=cfg.max_entries,
-        )
-        self.fm_server = FastMessagingServer(
-            sim, self.server, net, mode=EVENT,
-            ring_capacity=cfg.ring_capacity,
-            max_queue_depth=cfg.max_queue_depth,
-        )
-        cache_enabled = (cfg.node_cache is not None
-                         and cfg.node_cache.enabled)
-        self.heartbeats = HeartbeatService(
-            sim, server_host.cpu.window_utilization,
-            interval=cfg.heartbeat_interval,
-            mut_seq_fn=((lambda: self.server.tree.mut_hwm)
-                        if cache_enabled else None),
-        )
-        self.injector.attach_heartbeats(self.heartbeats)
-
-        self.stats: List[ClientStats] = []
-        self.sessions: List[CatfishSession] = []
-        self.breakers: List[CircuitBreaker] = []
-        for i in range(cfg.n_clients):
-            crngs = rngs.fork(f"client-{i}")
-            host = Host(sim, f"chaos-c{i}", IB_100G, cores=2)
-            conn = self.fm_server.open_connection(host)
-            stats = ClientStats()
-            fm = FmSession(sim, conn, i, stats, retry=cfg.retry,
-                           rng=crngs.stream("retry"))
-            self.heartbeats.subscribe(
-                conn.response_ring,
-                lambda hb, conn=conn: conn.server_post_response(hb),
-            )
-            engine = OffloadEngine(
-                sim, conn.client_end, self.server.offload_descriptor(),
-                self.server.costs, stats,
-                max_read_retries=cfg.engine_read_retries,
-                max_search_restarts=cfg.engine_search_restarts,
-            )
-            if cache_enabled:
-                cache = NodeCache(cfg.node_cache)
-                engine.attach_cache(cache)
-                conn.mailbox.attach_hint_sink(cache.apply_hint)
-            breaker = CircuitBreaker(sim, cfg.breaker)
-            session = CatfishSession(
-                sim, fm, engine, stats, params=cfg.adaptive,
-                rng=crngs.stream("adaptive"), breaker=breaker,
-                stale_after_missing=cfg.stale_after_missing,
-            )
-            self.stats.append(stats)
-            self.breakers.append(breaker)
-            self.sessions.append(session)
-
-        self.heartbeats.start()
-        self.injector.start(
-            fm_server=self.fm_server,
-            storm_targets=lambda: [self.server.tree.root],
-        )
-
-    def workload(self, client_id: int) -> List[Request]:
-        cfg = self.cfg
-        rng = self.rngs.fork(f"client-{client_id}").stream("workload")
-        edge = cfg.query_scale
-        requests = []
-        for _ in range(cfg.requests_per_client):
-            x = rng.uniform(0.0, 1.0 - edge)
-            y = rng.uniform(0.0, 1.0 - edge)
-            requests.append(
-                Request(OP_SEARCH, Rect(x, y, x + edge, y + edge))
-            )
-        return requests
+    deployment = Deployment(cfg.experiment_config(
+        scheme="catfish", fault_plan=plan, node_cache=cfg.node_cache,
+    ))
+    for i in range(cfg.n_clients):
+        salt = f"client-{i}"
+        session = deployment.add_client(i, salt)
+        session.engine.max_read_retries = cfg.engine_read_retries
+        session.engine.max_search_restarts = cfg.engine_search_restarts
+        session.policy.rng = deployment.rngs.fork(salt).stream("adaptive")
+    deployment.start()
+    return deployment
 
 
-#: ``fired_checks`` vocabulary: counter-name -> reader over the cluster.
-_FIRED_COUNTERS: Dict[str, Callable[[_Cluster], int]] = {
+def _workload(cfg: ChaosConfig, deployment, client_id: int) -> List[Request]:
+    """Client ``client_id``'s read-only query stream."""
+    rng = deployment.rngs.fork(f"client-{client_id}").stream("workload")
+    edge = cfg.query_scale
+    requests = []
+    for _ in range(cfg.requests_per_client):
+        x = rng.uniform(0.0, 1.0 - edge)
+        y = rng.uniform(0.0, 1.0 - edge)
+        requests.append(Request(OP_SEARCH, Rect(x, y, x + edge, y + edge)))
+    return requests
+
+
+#: ``fired_checks`` vocabulary: counter-name -> reader over the deployment.
+_FIRED_COUNTERS: Dict[str, Callable[[Any], int]] = {
     "packets-dropped": lambda c: int(c.injector.packets_dropped),
     "latency-injected": lambda c: int(c.injector.latency_injections),
     "nic-stalls": lambda c: int(c.injector.nic_stalls_injected),
     "beats-blacked-out": lambda c: int(c.injector.beats_blacked_out),
     "client-stalls": lambda c: int(c.injector.client_stalls_injected),
     "write-storms": lambda c: int(c.injector.write_storm_windows),
-    "workers-crashed": lambda c: int(c.fm_server.workers_crashed),
-    "workers-restarted": lambda c: int(c.fm_server.workers_restarted),
-    "requests-shed": lambda c: int(c.fm_server.requests_shed),
-    "breaker-trips": lambda c: sum(int(b.trips) for b in c.breakers),
+    "workers-crashed": lambda c: int(c.stacks[0].fm_server.workers_crashed),
+    "workers-restarted": lambda c: int(
+        c.stacks[0].fm_server.workers_restarted),
+    "requests-shed": lambda c: int(c.stacks[0].fm_server.requests_shed),
+    "breaker-trips": lambda c: sum(int(s.breaker.trips) for s in c.sessions),
     "failovers": lambda c: sum(
-        int(s.offload_failovers) for s in c.sessions
+        int(s.policy.offload_failovers) for s in c.sessions
     ),
     "duplicates-suppressed": lambda c: sum(
-        int(s.duplicates_suppressed) for s in c.stats
+        int(s.duplicates_suppressed) for s in c.client_stats
     ),
 }
 
@@ -543,15 +505,59 @@ class ScenarioReport:
         return lines
 
 
+def client_totals(stats) -> Dict[str, int]:
+    """The report's retry / late-answer / unattributable-message totals
+    over every client's :class:`~repro.client.base.ClientStats`."""
+    return {
+        "retries": sum(int(s.request_retries) for s in stats),
+        "duplicates_suppressed": sum(
+            int(s.duplicates_suppressed) for s in stats),
+        "unexpected_messages": sum(int(s.unexpected_messages) for s in stats),
+    }
+
+
+def completion_rates(times: List[float], start: float,
+                     end: float) -> Tuple[float, float]:
+    """Completion rates before ``start`` and from ``end`` on (``times``
+    sorted), the two sides of the recovery invariant."""
+    pre = sum(1 for t in times if t < start)
+    post = sum(1 for t in times if t >= end)
+    pre_rate = pre / start if pre else 0.0
+    post_span = (times[-1] - end) if post else 0.0
+    post_rate = post / post_span if post_span > 0.0 else 0.0
+    return pre_rate, post_rate
+
+
+def finished_check(cfg: ChaosConfig, finished: bool,
+                   now: float) -> Tuple[str, bool, str]:
+    """The drivers finished inside ``cfg.time_limit``."""
+    return ("finished-in-time", finished,
+            f"drivers {'finished' if finished else 'still running'} at "
+            f"t={now * 1e3:.3f}ms (limit {cfg.time_limit * 1e3:.0f}ms)")
+
+
+def recovery_check(cfg: ChaosConfig, pre_rate: float, post_rate: float,
+                   required: bool = False) -> Tuple[str, bool, str]:
+    """``post_rate >= recovery_floor * pre_rate``; without a sample on
+    either side it holds vacuously unless ``required``."""
+    if pre_rate > 0.0 and post_rate > 0.0:
+        return ("throughput-recovered",
+                post_rate >= cfg.recovery_floor * pre_rate,
+                f"post {post_rate / 1e3:.0f} kops vs pre "
+                f"{pre_rate / 1e3:.0f} kops "
+                f"(floor {cfg.recovery_floor:.0%})")
+    if required:
+        return ("throughput-recovered", False,
+                "missing pre- or post-fault sample")
+    return ("throughput-recovered", True,
+            "vacuous (no pre- or post-fault sample)")
+
+
 def _invariants(cfg: ChaosConfig, scenario: ChaosScenario,
                 report: ScenarioReport, finished: bool,
-                cluster: _Cluster) -> List[Tuple[str, bool, str]]:
+                cluster) -> List[Tuple[str, bool, str]]:
     checks: List[Tuple[str, bool, str]] = []
-    checks.append((
-        "finished-in-time", finished,
-        f"drivers {'finished' if finished else 'still running'} at "
-        f"t={report.end_time * 1e3:.3f}ms (limit {cfg.time_limit * 1e3:.0f}ms)",
-    ))
+    checks.append(finished_check(cfg, finished, report.end_time))
     checks.append((
         "completed", report.completed == report.issued,
         f"{report.completed}/{report.issued} requests "
@@ -572,14 +578,7 @@ def _invariants(cfg: ChaosConfig, scenario: ChaosScenario,
         "bounded-retries", report.retries <= retry_budget,
         f"{report.retries} retries <= budget {retry_budget}",
     ))
-    if report.pre_rate > 0.0 and report.post_rate > 0.0:
-        recovered = report.post_rate >= cfg.recovery_floor * report.pre_rate
-        detail = (f"post {report.post_rate / 1e3:.0f} kops vs pre "
-                  f"{report.pre_rate / 1e3:.0f} kops "
-                  f"(floor {cfg.recovery_floor:.0%})")
-    else:
-        recovered, detail = True, "vacuous (no pre- or post-fault sample)"
-    checks.append(("throughput-recovered", recovered, detail))
+    checks.append(recovery_check(cfg, report.pre_rate, report.post_rate))
     for key in scenario.fired_checks:
         value = _FIRED_COUNTERS[key](cluster)
         checks.append((
@@ -610,9 +609,9 @@ def run_scenario(name: str, seed: int = 0,
     if scenario.runner is not None:
         return scenario.runner(cfg)
 
-    cluster = _Cluster(cfg, scenario.build_plan(cfg))
+    cluster = _deployment(cfg, scenario.build_plan(cfg))
     sim = cluster.sim
-    workloads = [cluster.workload(i) for i in range(cfg.n_clients)]
+    workloads = [_workload(cfg, cluster, i) for i in range(cfg.n_clients)]
     # (client_id, index, completion time, sorted matching data ids)
     records: List[Tuple[int, int, float, Tuple[int, ...]]] = []
     errors: List[Tuple[int, int, str]] = []
@@ -655,13 +654,9 @@ def run_scenario(name: str, seed: int = 0,
         if ids != expected:
             mismatches += 1
 
-    times = sorted(t for _c, _i, t, _ids in records)
-    pre = [t for t in times if t < cfg.fault_start]
-    post = [t for t in times if t >= cfg.fault_end]
-    pre_rate = len(pre) / cfg.fault_start if pre else 0.0
-    post_span = (times[-1] - cfg.fault_end) if post else 0.0
-    post_rate = len(post) / post_span if post_span > 0.0 else 0.0
-
+    pre_rate, post_rate = completion_rates(
+        sorted(t for _c, _i, t, _ids in records),
+        cfg.fault_start, cfg.fault_end)
     timeouts = sum(1 for _c, _i, kind in errors if kind == "timeout")
     report = ScenarioReport(
         name=name,
@@ -671,13 +666,7 @@ def run_scenario(name: str, seed: int = 0,
         timeouts=timeouts,
         offload_errors=len(errors) - timeouts,
         mismatches=mismatches,
-        retries=sum(int(s.request_retries) for s in cluster.stats),
-        duplicates_suppressed=sum(
-            int(s.duplicates_suppressed) for s in cluster.stats
-        ),
-        unexpected_messages=sum(
-            int(s.unexpected_messages) for s in cluster.stats
-        ),
+        **client_totals(cluster.client_stats),
         pre_rate=pre_rate,
         post_rate=post_rate,
         end_time=sim.now,

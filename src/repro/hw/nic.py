@@ -59,7 +59,3 @@ class Nic:
     def acquire_read_slot(self):
         """Claim an outstanding-read slot (request event; release() it)."""
         return self._read_slots.request()
-
-    @property
-    def outstanding_reads(self) -> int:
-        return self._read_slots.count

@@ -139,14 +139,6 @@ class Network:
             )
         return link.transfer(wire_bytes)
 
-    def to_server(self, payload: int) -> Generator:
-        """Deliver ``payload`` bytes client -> server (process generator)."""
-        return self.server_link.rx.transfer(self.profile.wire_size(payload))
-
-    def to_client(self, payload: int) -> Generator:
-        """Deliver ``payload`` bytes server -> client (process generator)."""
-        return self.server_link.tx.transfer(self.profile.wire_size(payload))
-
     def server_bandwidth_utilization(self) -> float:
         """Fraction of the server access link consumed (Fig 2's right axis)."""
         return self.server_link.utilization()

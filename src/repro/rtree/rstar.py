@@ -200,9 +200,6 @@ class RStarTree:
                         stack.append(entry.child)
         return result
 
-    def count_intersections(self, query: Rect) -> int:
-        return self.search(query).count
-
     def nearest(self, x: float, y: float, k: int = 1) -> SearchResult:
         """The ``k`` nearest rectangles to point ``(x, y)``.
 

@@ -8,14 +8,11 @@ One assembly path for every deployment shape (single-server, K-shard):
   messaging vs. offloading choice (Algorithm 1, the ε-greedy bandit and
   the two fixed baselines);
 * :class:`~repro.runtime.session.PolicySession` — the generic session
-  threading retry, circuit breaker, tracing and metrics around any
-  policy;
+  threading retry, circuit breaker and tracing around any policy;
 * :class:`~repro.runtime.factory.SessionFactory` — the one place a
   client session is built.
 
-``ServerStack`` and ``SessionFactory`` are exposed lazily (PEP 562):
-``repro.client`` builds its sessions on top of this package, so the
-eager surface here must not import it back.
+:class:`~repro.cluster.deployment.Deployment` assembles these into a run.
 """
 
 from .policy import (
@@ -33,6 +30,8 @@ from .policy import (
     PathPolicy,
 )
 from .session import PolicySession
+from .stack import ServerStack
+from .factory import SessionFactory
 
 __all__ = [
     "AdaptiveParams",
@@ -52,12 +51,3 @@ __all__ = [
     "SessionFactory",
 ]
 
-
-def __getattr__(name: str):
-    if name == "ServerStack":
-        from .stack import ServerStack
-        return ServerStack
-    if name == "SessionFactory":
-        from .factory import SessionFactory
-        return SessionFactory
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,25 +1,18 @@
 """The single session-assembly path shared by every deployment shape.
 
-Pre-refactor, ``ExperimentRunner._build_session`` and
-``ShardedExperimentRunner._build_shard_session`` duplicated the whole
-client-side assembly (connection, retrying FM session, heartbeat
-subscription, offload engine, scheme dispatch) — and drifted: the bandit
-scheme never gained tracer/breaker support and raised "not supported
-sharded".  :class:`SessionFactory` is now the only place a session is
-built; the cluster builder, the sharded deployer and the scatter-gather
-router all consume it.
+:class:`SessionFactory` is the only place an R-tree client session is
+built (connection, retrying FM session, heartbeat subscription, offload
+engine, path policy); :class:`~repro.cluster.deployment.Deployment`
+calls it once per client and server stack.
 
-Determinism contract: the factory draws from exactly the stream names the
-old builders used — ``retry`` / ``backoff`` / ``bandit`` on the caller's
-per-client registry (``rngs.fork(f"client-{i}")`` single-server,
-``rngs.shard(k).fork(f"client-{i}")`` sharded) — and streams are
-independently seeded by name, so existing schemes stay bit-identical.
+Determinism contract: the factory draws from the stream names ``retry``
+/ ``backoff`` / ``bandit`` on the caller's per-client registry
+(``rngs.fork(salt)`` direct, ``rngs.shard(k).fork(salt)`` routed), and
+streams are independently seeded by name.
 """
 
 from __future__ import annotations
 
-from ..client.adaptive import CatfishSession
-from ..client.bandit import BanditSession
 from ..client.base import ClientStats
 from ..client.fm_client import FmSession
 from ..client.node_cache import NodeCache
@@ -31,7 +24,13 @@ from ..hw.host import Host
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 from ..transport.tcp import TcpConnection
-from .policy import AlwaysFmPolicy, AlwaysOffloadPolicy
+from .policy import (
+    Algorithm1Policy,
+    AlwaysFmPolicy,
+    AlwaysOffloadPolicy,
+    BanditPolicy,
+    PathPolicy,
+)
 from .session import PolicySession
 from .stack import ServerStack
 
@@ -44,10 +43,6 @@ class SessionFactory:
         self.spec = spec
         self.config = config
         self.tracer = tracer
-
-    def _breaker(self):
-        return (CircuitBreaker(self.sim, self.config.breaker)
-                if self.config.breaker is not None else None)
 
     def build(
         self,
@@ -109,50 +104,21 @@ class SessionFactory:
                 self.sim, fm, engine, stats, AlwaysOffloadPolicy(),
                 tracer=self.tracer,
             )
-        if policy == "algorithm1":
-            return CatfishSession(
+        path_policy: PathPolicy
+        if policy == Algorithm1Policy.name:
+            path_policy = Algorithm1Policy(
                 self.sim,
-                fm,
-                engine,
-                stats,
+                lambda: fm.mailbox,
                 params=config.adaptive,
                 rng=rngs.stream("backoff"),
                 pred_util=make_predictor(self.spec.predictor),
-                tracer=self.tracer,
-                breaker=self._breaker(),
                 stale_after_missing=config.stale_after_missing,
             )
-        if policy == "bandit":
-            return BanditSession(
-                self.sim,
-                fm,
-                engine,
-                stats,
-                rng=rngs.stream("bandit"),
-                tracer=self.tracer,
-                breaker=self._breaker(),
-            )
-        raise ValueError(f"unknown path policy {policy!r}")
-
-    def build_shard_sessions(
-        self,
-        client_id: int,
-        stacks,
-        host: Host,
-        stats: ClientStats,
-        rng_for_shard,
-    ) -> list:
-        """One session per shard stack for a scatter-gather client.
-
-        ``rng_for_shard(k)`` must return the client's registry against
-        shard ``k`` (``rngs.shard(k).fork(f"client-{i}")`` in the
-        deployers) — shard-derived, so adding shards never perturbs the
-        retry/back-off draws against existing shards.  Sessions are
-        per-*stack*, so they survive every shard-map revision: the map
-        decides which of them a query visits, tile reassignments never
-        rebuild a session.
-        """
-        return [
-            self.build(client_id, stack, host, stats, rng_for_shard(k))
-            for k, stack in enumerate(stacks)
-        ]
+        elif policy == BanditPolicy.name:
+            path_policy = BanditPolicy(rng=rngs.stream("bandit"))
+        else:
+            raise ValueError(f"unknown path policy {policy!r}")
+        breaker = (CircuitBreaker(self.sim, config.breaker)
+                   if config.breaker is not None else None)
+        return PolicySession(self.sim, fm, engine, stats, path_policy,
+                             tracer=self.tracer, breaker=breaker)

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import Counter
 from ..sim.kernel import Simulator
 
 #: The two access paths of the paper (values match the historical trace
@@ -40,8 +40,7 @@ from ..sim.kernel import Simulator
 PATH_FM = "fast-messaging"
 PATH_OFFLOAD = "offload"
 
-#: Bandit arm labels (kept from ``repro.client.bandit`` for
-#: compatibility with existing dashboards/tests).
+#: Bandit arm labels.
 FAST_MESSAGING = "fm"
 OFFLOADING = "offload"
 
@@ -76,6 +75,9 @@ class PathPolicy:
     """
 
     name = "policy"
+    #: Component name under which a session driving this policy traces
+    #: its request spans.
+    trace_component = "policy"
 
     def decide_offload(self) -> bool:
         """True to offload the next read; may mutate policy state."""
@@ -106,10 +108,6 @@ class PathPolicy:
     def fm_annotations(self) -> Dict[str, object]:
         """Trace attributes for a fast-messaging decision."""
         return {}
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str) -> None:
-        """Adopt the policy's counters into ``registry``."""
 
 
 class AlwaysFmPolicy(PathPolicy):
@@ -164,6 +162,7 @@ class Algorithm1Policy(PathPolicy):
     """
 
     name = "algorithm1"
+    trace_component = "adaptive"
 
     def __init__(
         self,
@@ -273,23 +272,6 @@ class Algorithm1Policy(PathPolicy):
     def fm_annotations(self) -> Dict[str, object]:
         return {"r_busy": self.r_busy}
 
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str = "adaptive") -> None:
-        registry.adopt(f"{prefix}.busy_observations",
-                       self.busy_observations)
-        registry.adopt(f"{prefix}.backoff_extensions",
-                       self.backoff_extensions)
-        registry.adopt(f"{prefix}.heartbeats_consumed",
-                       self.heartbeats_consumed)
-        registry.adopt(f"{prefix}.heartbeats_missing",
-                       self.heartbeats_missing)
-        registry.adopt(f"{prefix}.decisions_offload", self.decisions_offload)
-        registry.adopt(f"{prefix}.decisions_fm", self.decisions_fm)
-        registry.adopt(f"{prefix}.stale_resets", self.stale_resets)
-        registry.adopt(f"{prefix}.offload_failovers", self.offload_failovers)
-        registry.expose(f"{prefix}.r_busy", lambda: self.r_busy)
-        registry.expose(f"{prefix}.r_off", lambda: self.r_off)
-
 
 class LatencyEstimate:
     """EWMA of one arm's latency, optimistic until first observed."""
@@ -323,6 +305,7 @@ class BanditPolicy(PathPolicy):
     """
 
     name = "bandit"
+    trace_component = "bandit"
 
     def __init__(
         self,
@@ -381,21 +364,6 @@ class BanditPolicy(PathPolicy):
 
     def fm_annotations(self) -> Dict[str, object]:
         return {"mode": FAST_MESSAGING}
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: str = "bandit") -> None:
-        registry.adopt(f"{prefix}.offload_failovers", self.offload_failovers)
-        registry.adopt(f"{prefix}.breaker_demotions", self.breaker_demotions)
-        registry.expose(f"{prefix}.explorations", lambda: self.explorations)
-        registry.expose(f"{prefix}.mode_fm",
-                        lambda: self.mode_counts[FAST_MESSAGING])
-        registry.expose(f"{prefix}.mode_offload",
-                        lambda: self.mode_counts[OFFLOADING])
-        for arm in (FAST_MESSAGING, OFFLOADING):
-            registry.expose(
-                f"{prefix}.estimate_{arm}_us",
-                lambda a=arm: (self.estimates[a].value or 0.0) * 1e6,
-            )
 
 
 #: Policy-name registry: the vocabulary `SchemeSpec.policy` maps onto.

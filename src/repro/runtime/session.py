@@ -8,12 +8,11 @@ breaker (an open breaker demotes the decision to fast messaging; an
 annotate a trace span, and report the executed path and its latency back
 to the policy.
 
-:class:`~repro.client.adaptive.CatfishSession` and
-:class:`~repro.client.bandit.BanditSession` are thin subclasses binding
-:class:`~repro.runtime.policy.Algorithm1Policy` /
-:class:`~repro.runtime.policy.BanditPolicy`; the KV/cuckoo sessions
-override :meth:`_is_offloadable` / :meth:`_offload` only — the selection
-machinery is structure-agnostic.
+Every scheme binds a policy to this one class
+(:class:`~repro.runtime.policy.Algorithm1Policy`,
+:class:`~repro.runtime.policy.BanditPolicy` or a fixed baseline); the
+B+tree and cuckoo sessions override :meth:`_is_offloadable` /
+:meth:`_offload` only — the selection machinery is structure-agnostic.
 
 Layering note: like :mod:`repro.runtime.policy`, this module must not
 import :mod:`repro.client` at module level; the few client-side symbols
@@ -22,9 +21,8 @@ are resolved lazily inside the methods that need them.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
-from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER
 from ..sim.kernel import Simulator
 from .policy import PATH_FM, PATH_OFFLOAD, PathPolicy
@@ -32,9 +30,6 @@ from .policy import PATH_FM, PATH_OFFLOAD, PathPolicy
 
 class PolicySession:
     """Execute requests, choosing the access path via a pluggable policy."""
-
-    #: Component name under which this session's spans are traced.
-    trace_component = "policy"
 
     def __init__(
         self,
@@ -82,24 +77,13 @@ class PolicySession:
         a path."""
         return self.policy.decide_offload()
 
-    # -- metrics -----------------------------------------------------------
-
-    def register_metrics(self, registry: MetricsRegistry,
-                         prefix: Optional[str] = None) -> None:
-        """Adopt the policy's (and breaker's) counters into ``registry``."""
-        prefix = prefix if prefix is not None else self.trace_component
-        self.policy.register_metrics(registry, prefix)
-        if self.breaker is not None:
-            self.breaker.register_metrics(registry,
-                                          prefix=f"{prefix}.breaker")
-
     # -- request execution -------------------------------------------------
 
     def execute(self, request) -> Generator:
         """Run one request, choosing the access path per the policy."""
         from ..client.offload_client import OffloadError
         policy = self.policy
-        span = self.tracer.span(self.trace_component, request.op)
+        span = self.tracer.span(policy.trace_component, request.op)
         if not self._is_offloadable(request):
             # Writes always go to the server through the ring buffer.
             span.annotate("decide", path=PATH_FM, reason="write")
@@ -178,7 +162,7 @@ class PolicySession:
                 results.append(result)
             return results
         policy = self.policy
-        span = self.tracer.span(self.trace_component, "search-batch")
+        span = self.tracer.span(policy.trace_component, "search-batch")
         rects = [request.rect for request in requests]
 
         def fm_all() -> Generator:

@@ -4,16 +4,13 @@ A :class:`ServerStack` assembles everything one Catfish server needs —
 host + scheduler, star network, R*-tree over its data slice, the
 transport front-end (TCP server or fast-messaging worker pool per the
 scheme), the heartbeat service and the overload guard — exactly once.
-:class:`~repro.cluster.builder.ExperimentRunner` builds one;
-:class:`~repro.shard.deploy.ShardedExperimentRunner` builds K.  Before
-this layer existed the two runners duplicated the whole construction
-(and drifted); RDMAvisor's argument for a single service layer hiding
-RDMA deployment detail is exactly this class.
+:class:`~repro.cluster.deployment.Deployment` builds one per shard
+(one for a direct deployment); RDMAvisor's argument for a single
+service layer hiding RDMA deployment detail is exactly this class.
 
 Determinism contract: all stochastic construction (the scheduler noise)
-draws from the *caller's* registry — the single-server runner passes its
-root registry, the sharded runner passes ``rngs.shard(k)`` — so stream
-names and draw order are unchanged from the pre-refactor builders.
+draws from the *caller's* registry — the root registry for a direct
+deployment, ``rngs.shard(k)`` for shard ``k`` of a routed one.
 """
 
 from __future__ import annotations
@@ -117,11 +114,6 @@ class ServerStack:
                 self.heartbeats.fault_injector = heartbeat_hook
             else:
                 injector.attach_heartbeats(self.heartbeats)
-
-    def start_heartbeats(self) -> None:
-        """Start the heartbeat broadcaster (after clients subscribed)."""
-        if self.heartbeats is not None:
-            self.heartbeats.start()
 
     # -- occupancy ---------------------------------------------------------
 

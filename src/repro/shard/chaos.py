@@ -35,11 +35,18 @@ from collections import Counter
 from typing import Dict, List, Tuple
 
 from ..client.base import OP_INSERT, READ_OPS
-from ..cluster.config import ExperimentConfig, RebalanceConfig
+from ..cluster.config import RebalanceConfig
 from ..faults.plan import BOTH, FaultPlan, LinkFault, ShardLoss
-from ..faults.scenarios import ChaosConfig, ScenarioReport
+from ..faults.scenarios import (
+    ChaosConfig,
+    ScenarioReport,
+    client_totals,
+    completion_rates,
+    finished_check,
+    recovery_check,
+)
 from ..rtree.bulk import bulk_load
-from ..sim.kernel import SimulationError, all_of
+from ..sim.kernel import SimulationError
 from .deploy import ShardedExperimentRunner
 from .rebalance import RebalanceStats
 from .router import RouterStats
@@ -56,76 +63,33 @@ def shard_loss_plan(cfg: ChaosConfig) -> FaultPlan:
     ))
 
 
-def _experiment_config(cfg: ChaosConfig) -> ExperimentConfig:
-    return ExperimentConfig(
-        scheme="catfish-sharded",
-        fabric="ib-100g",
-        n_clients=cfg.n_clients,
-        requests_per_client=cfg.requests_per_client,
-        workload_kind="mixed",
-        scale=str(cfg.query_scale),
-        dataset_size=cfg.dataset_size,
-        max_entries=cfg.max_entries,
-        server_cores=cfg.server_cores,
-        adaptive=cfg.adaptive,
-        heartbeat_interval=cfg.heartbeat_interval,
-        seed=cfg.seed,
-        fault_plan=shard_loss_plan(cfg),
-        retry=cfg.retry,
-        breaker=cfg.breaker,
-        stale_after_missing=cfg.stale_after_missing,
-        max_queue_depth=cfg.max_queue_depth,
-        n_shards=N_SHARDS,
+def _experiment_config(cfg: ChaosConfig, workload: str, fault_plan,
+                       **overrides):
+    return cfg.experiment_config(
+        scheme="catfish-sharded", workload_kind=workload,
+        scale=str(cfg.query_scale), fault_plan=fault_plan,
+        n_shards=N_SHARDS, **overrides,
     )
 
 
 def run_shard_loss(cfg: ChaosConfig) -> ScenarioReport:
     """Run the scenario under ``cfg``; returns its report (failures are
     data, like every other chaos scenario)."""
-    runner = ShardedExperimentRunner(_experiment_config(cfg),
-                                     record_results=True)
+    runner, finished, records = _run_cluster(
+        cfg, _experiment_config(cfg, "mixed", shard_loss_plan(cfg)))
     sim = runner.sim
-    finished = True
-    try:
-        sim.run_until_triggered(all_of(sim, runner._drivers),
-                                limit=cfg.time_limit)
-    except SimulationError:
-        finished = False
-    sim.run(until=sim.now + cfg.grace_s)
-
     # Read-only workload: both the single bulk-loaded tree and the
     # per-shard trees are pure ground truth for every query.
-    global_tree = bulk_load(runner.dataset, max_entries=cfg.max_entries)
-
-    records: List[Tuple[int, int, float, str, bool]] = []
-    complete_mismatches = 0
-    degraded_mismatches = 0
-    degraded_total = 0
-    degraded_in_window = 0
-    duplicates_dropped = 0
-    for client_id, router in enumerate(runner.routers):
-        for index, request, result, t in router.log:
-            duplicates_dropped += result.duplicates_dropped
-            if not result.complete:
-                degraded_total += 1
-                if cfg.fault_start <= t < cfg.fault_end + cfg.grace_s:
-                    degraded_in_window += 1
-            if not result_consistent(runner, global_tree, request, result):
-                if result.complete:
-                    complete_mismatches += 1
-                else:
-                    degraded_mismatches += 1
-            records.append((client_id, index, t,
-                            request.op, result.complete))
+    (complete_mismatches, degraded_mismatches, degraded_total,
+     degraded_in_window, duplicates_dropped) = _audit(
+        runner, result_consistent,
+        window=(cfg.fault_start, cfg.fault_end + cfg.grace_s))
 
     issued = cfg.total_requests
     completed = len(records)
-    times = sorted(t for _c, _i, t, _op, _ok in records)
-    pre = [t for t in times if t < cfg.fault_start]
-    post = [t for t in times if t >= cfg.fault_end]
-    pre_rate = len(pre) / cfg.fault_start if pre else 0.0
-    post_span = (times[-1] - cfg.fault_end) if post else 0.0
-    post_rate = len(post) / post_span if post_span > 0.0 else 0.0
+    pre_rate, post_rate = completion_rates(
+        sorted(t for _c, _i, t, _op, _ok in records),
+        cfg.fault_start, cfg.fault_end)
 
     def _router_sum(field: str) -> int:
         return sum(int(getattr(r, field)) for r in runner.router_stats)
@@ -148,13 +112,7 @@ def run_shard_loss(cfg: ChaosConfig) -> ScenarioReport:
         timeouts=_router_sum("shard_timeouts"),
         offload_errors=_router_sum("shard_offload_errors"),
         mismatches=complete_mismatches + degraded_mismatches,
-        retries=sum(int(s.request_retries) for s in runner.client_stats),
-        duplicates_suppressed=sum(
-            int(s.duplicates_suppressed) for s in runner.client_stats
-        ),
-        unexpected_messages=sum(
-            int(s.unexpected_messages) for s in runner.client_stats
-        ),
+        **client_totals(runner.client_stats),
         pre_rate=pre_rate,
         post_rate=post_rate,
         end_time=sim.now,
@@ -162,11 +120,7 @@ def run_shard_loss(cfg: ChaosConfig) -> ScenarioReport:
     )
 
     checks: List[Tuple[str, bool, str]] = []
-    checks.append((
-        "finished-in-time", finished,
-        f"drivers {'finished' if finished else 'still running'} at "
-        f"t={sim.now * 1e3:.3f}ms (limit {cfg.time_limit * 1e3:.0f}ms)",
-    ))
+    checks.append(finished_check(cfg, finished, sim.now))
     checks.append((
         "completed", completed == issued,
         f"{completed}/{issued} requests returned a PartialResult "
@@ -194,30 +148,14 @@ def run_shard_loss(cfg: ChaosConfig) -> ScenarioReport:
         f"{degraded_in_window} degraded results during the outage "
         f"(loss must be client-visible, not silently absorbed)",
     ))
-    if pre_rate > 0.0 and post_rate > 0.0:
-        recovered = post_rate >= cfg.recovery_floor * pre_rate
-        detail = (f"post {post_rate / 1e3:.0f} kops vs pre "
-                  f"{pre_rate / 1e3:.0f} kops "
-                  f"(floor {cfg.recovery_floor:.0%})")
-    else:
-        recovered, detail = True, "vacuous (no pre- or post-fault sample)"
-    checks.append(("throughput-recovered", recovered, detail))
+    checks.append(recovery_check(cfg, pre_rate, post_rate))
     for key in ("shards-lost", "shards-restored", "workers-crashed"):
         checks.append((
             f"fault-fired:{key}", counters[key] > 0,
             f"counter = {counters[key]}",
         ))
     report.invariants = checks
-
-    digest = hashlib.sha256()
-    digest.update(f"shard-loss:{cfg.seed}:{N_SHARDS}\n".encode())
-    for client_id, index, t, op, complete in sorted(records):
-        digest.update(
-            f"{client_id},{index},{t:.15e},{op},{int(complete)}\n".encode()
-        )
-    for key in sorted(counters):
-        digest.update(f"{key}={counters[key]}\n".encode())
-    report._fingerprint = digest.hexdigest()[:16]
+    _fingerprint(report, "shard-loss", cfg, records, counters)
     return report
 
 
@@ -242,59 +180,49 @@ def rebalance_fault_plan(cfg: ChaosConfig) -> FaultPlan:
     ))
 
 
-def _rebalance_experiment_config(cfg: ChaosConfig, workload: str,
-                                 fault_plan) -> ExperimentConfig:
-    return ExperimentConfig(
-        scheme="catfish-sharded",
-        fabric="ib-100g",
-        n_clients=cfg.n_clients,
-        requests_per_client=cfg.requests_per_client,
-        workload_kind=workload,
-        scale=str(cfg.query_scale),
-        dataset_size=cfg.dataset_size,
-        max_entries=cfg.max_entries,
-        server_cores=cfg.server_cores,
-        adaptive=cfg.adaptive,
-        heartbeat_interval=cfg.heartbeat_interval,
-        seed=cfg.seed,
-        fault_plan=fault_plan,
-        retry=cfg.retry,
-        breaker=cfg.breaker,
-        stale_after_missing=cfg.stale_after_missing,
-        max_queue_depth=cfg.max_queue_depth,
-        n_shards=N_SHARDS,
-        rebalance=REBALANCE_TUNING,
-    )
-
-
-def _run_rebalance_cluster(name: str, cfg: ChaosConfig, workload: str,
-                           fault_plan):
-    """Shared run harness: build, drive to completion, settle migrations.
+def _run_cluster(cfg: ChaosConfig, config):
+    """Shared run harness: build, drive to completion, let late segments
+    drain, settle migrations.
 
     Returns ``(runner, finished, records)`` where ``records`` is the
-    fingerprintable per-request log shared by both scenarios.
+    fingerprintable per-request log every sharded scenario digests.
     """
-    runner = ShardedExperimentRunner(
-        _rebalance_experiment_config(cfg, workload, fault_plan),
-        record_results=True,
-    )
+    runner = ShardedExperimentRunner(config, record_results=True)
     sim = runner.sim
     finished = True
     try:
-        sim.run_until_triggered(all_of(sim, runner._drivers),
-                                limit=cfg.time_limit)
+        runner.drive(limit=cfg.time_limit)
     except SimulationError:
         finished = False
     sim.run(until=sim.now + cfg.grace_s)
-    runner._elapsed_at_done = sim.now
-    if runner.rebalancer is not None:
-        runner._settle_rebalancer()
+    runner.settle()
     records: List[Tuple[int, int, float, str, bool]] = []
     for client_id, router in enumerate(runner.routers):
         for index, request, result, t in router.log:
             records.append((client_id, index, t,
                             request.op, result.complete))
     return runner, finished, records
+
+
+def _audit(runner, consistent, window=(0.0, 0.0)):
+    """Check every routed result against a tree bulk-loaded from the
+    dataset with ``consistent``.  Returns the complete and degraded
+    mismatches, the degraded results (all, and inside ``window``) and the
+    duplicate ids the merge dropped."""
+    tree = bulk_load(runner.dataset, max_entries=runner.config.max_entries)
+    complete_bad = degraded_bad = degraded = in_window = dropped = 0
+    for router in runner.routers:
+        for _index, request, result, t in router.log:
+            dropped += result.duplicates_dropped
+            if not result.complete:
+                degraded += 1
+                in_window += window[0] <= t < window[1]
+            if not consistent(runner, tree, request, result):
+                if result.complete:
+                    complete_bad += 1
+                else:
+                    degraded_bad += 1
+    return complete_bad, degraded_bad, degraded, in_window, dropped
 
 
 def _rebalance_counters(runner) -> Dict[str, int]:
@@ -314,6 +242,15 @@ def _rebalance_counters(runner) -> Dict[str, int]:
     return counters
 
 
+def _map_invariants(runner) -> Tuple[str, bool, str]:
+    """The live map's tiles stay disjoint and plane-covering."""
+    try:
+        runner.live_map.check_invariants()
+    except ValueError as exc:
+        return ("map-invariants", False, str(exc))
+    return ("map-invariants", True, "tiles disjoint + covering")
+
+
 def _fingerprint(report: ScenarioReport, name: str, cfg: ChaosConfig,
                  records, counters: Dict[str, int]) -> None:
     digest = hashlib.sha256()
@@ -329,28 +266,12 @@ def _fingerprint(report: ScenarioReport, name: str, cfg: ChaosConfig,
 
 def run_rebalance_under_fault(cfg: ChaosConfig) -> ScenarioReport:
     """Skewed reads drive splits + migrations while the link drops 30%."""
-    runner, finished, records = _run_rebalance_cluster(
-        "rebalance-under-fault", cfg, "search-skewed",
-        rebalance_fault_plan(cfg),
-    )
+    runner, finished, records = _run_cluster(cfg, _experiment_config(
+        cfg, "search-skewed", rebalance_fault_plan(cfg),
+        rebalance=REBALANCE_TUNING))
     sim = runner.sim
-    global_tree = bulk_load(runner.dataset, max_entries=cfg.max_entries)
-
-    complete_mismatches = 0
-    degraded_mismatches = 0
-    degraded_total = 0
-    duplicates_dropped = 0
-    for router in runner.routers:
-        for _index, request, result, _t in router.log:
-            duplicates_dropped += result.duplicates_dropped
-            if not result.complete:
-                degraded_total += 1
-            if not result_consistent_rebalance(runner, global_tree,
-                                               request, result):
-                if result.complete:
-                    complete_mismatches += 1
-                else:
-                    degraded_mismatches += 1
+    complete_mismatches, degraded_mismatches, degraded_total, _, _ = _audit(
+        runner, result_consistent_rebalance)
 
     counters = _rebalance_counters(runner)
     stats = runner.rebalance_stats
@@ -364,29 +285,16 @@ def run_rebalance_under_fault(cfg: ChaosConfig) -> ScenarioReport:
         timeouts=counters["shard-timeouts"],
         offload_errors=counters["shard-offload-errors"],
         mismatches=complete_mismatches + degraded_mismatches,
-        retries=sum(int(s.request_retries) for s in runner.client_stats),
-        duplicates_suppressed=sum(
-            int(s.duplicates_suppressed) for s in runner.client_stats
-        ),
-        unexpected_messages=sum(
-            int(s.unexpected_messages) for s in runner.client_stats
-        ),
+        **client_totals(runner.client_stats),
         pre_rate=0.0,
         post_rate=0.0,
         end_time=sim.now,
         counters=counters,
     )
 
-    try:
-        runner.live_map.check_invariants()
-        invariants_hold, invariant_detail = True, "tiles disjoint + covering"
-    except ValueError as exc:
-        invariants_hold, invariant_detail = False, str(exc)
     occupancy = runner.shard_occupancy()
     checks: List[Tuple[str, bool, str]] = [
-        ("finished-in-time", finished,
-         f"drivers {'finished' if finished else 'still running'} at "
-         f"t={sim.now * 1e3:.3f}ms (limit {cfg.time_limit * 1e3:.0f}ms)"),
+        finished_check(cfg, finished, sim.now),
         ("completed", completed == issued,
          f"{completed}/{issued} requests returned a result "
          f"({degraded_total} degraded)"),
@@ -406,7 +314,7 @@ def run_rebalance_under_fault(cfg: ChaosConfig) -> ScenarioReport:
         ("items-conserved", sum(occupancy) == cfg.dataset_size,
          f"final occupancy {occupancy} sums to {sum(occupancy)} "
          f"(dataset {cfg.dataset_size})"),
-        ("map-invariants", invariants_hold, invariant_detail),
+        _map_invariants(runner),
         ("fault-fired:packets-dropped",
          counters.get("packets-dropped", 0) > 0,
          f"counter = {counters.get('packets-dropped', 0)}"),
@@ -418,9 +326,8 @@ def run_rebalance_under_fault(cfg: ChaosConfig) -> ScenarioReport:
 
 def run_migration_racing_writes(cfg: ChaosConfig) -> ScenarioReport:
     """Hybrid writes race the migration copy/cut-over/drain windows."""
-    runner, finished, records = _run_rebalance_cluster(
-        "migration-racing-writes", cfg, "hybrid", None,
-    )
+    runner, finished, records = _run_cluster(cfg, _experiment_config(
+        cfg, "hybrid", None, rebalance=REBALANCE_TUNING))
     sim = runner.sim
     stats = runner.rebalance_stats
     windows = runner.rebalancer.migration_windows
@@ -487,28 +394,15 @@ def run_migration_racing_writes(cfg: ChaosConfig) -> ScenarioReport:
         timeouts=counters["shard-timeouts"],
         offload_errors=counters["shard-offload-errors"],
         mismatches=0 if conserved else 1,
-        retries=sum(int(s.request_retries) for s in runner.client_stats),
-        duplicates_suppressed=sum(
-            int(s.duplicates_suppressed) for s in runner.client_stats
-        ),
-        unexpected_messages=sum(
-            int(s.unexpected_messages) for s in runner.client_stats
-        ),
+        **client_totals(runner.client_stats),
         pre_rate=0.0,
         post_rate=0.0,
         end_time=sim.now,
         counters=counters,
     )
 
-    try:
-        runner.live_map.check_invariants()
-        invariants_hold, invariant_detail = True, "tiles disjoint + covering"
-    except ValueError as exc:
-        invariants_hold, invariant_detail = False, str(exc)
     checks: List[Tuple[str, bool, str]] = [
-        ("finished-in-time", finished,
-         f"drivers {'finished' if finished else 'still running'} at "
-         f"t={sim.now * 1e3:.3f}ms (limit {cfg.time_limit * 1e3:.0f}ms)"),
+        finished_check(cfg, finished, sim.now),
         ("completed", completed == issued,
          f"{completed}/{issued} requests returned a result"),
         ("migrations-completed",
@@ -526,7 +420,7 @@ def run_migration_racing_writes(cfg: ChaosConfig) -> ScenarioReport:
          f"{'exact' if conserved else 'MISMATCH'}"),
         ("reads-exactly-once", duplicate_read_ids == 0,
          f"{duplicate_read_ids} duplicate ids delivered to clients"),
-        ("map-invariants", invariants_hold, invariant_detail),
+        _map_invariants(runner),
     ]
     report.invariants = checks
     _fingerprint(report, "migration-racing-writes", cfg, records, counters)

@@ -37,7 +37,7 @@ from ..client.resilience import (
     CircuitBreaker,
     RequestTimeoutError,
 )
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import Counter
 from ..sim.kernel import Simulator, all_of
 from .partition import ShardMap
 
@@ -135,17 +135,12 @@ class RouterStats:
     )
     REBALANCE_FIELDS = ("epoch_rescatters", "rescattered_subqueries")
 
-    def register_into(self, registry: MetricsRegistry,
-                      prefix: str = "router") -> None:
-        for name in self.FIELDS + self.REBALANCE_FIELDS:
-            registry.adopt(f"{prefix}.{name}", getattr(self, name))
-
 
 class ScatterGatherRouter:
     """Routes one client's requests across the shard sessions.
 
     ``sessions[k]`` must expose ``execute(request)`` (any of the client
-    session types works; the sharded builder wires a full CatfishSession
+    session types works; the deployment wires a full ``PolicySession``
     per shard so each shard keeps the paper's adaptive machinery).  The
     router presents the same ``execute`` generator protocol, so the
     standard cluster driver runs unchanged on top of it.
@@ -199,38 +194,6 @@ class ScatterGatherRouter:
         #: Bound on re-scatter rounds per read (a runaway revision storm
         #: degrades to a best-effort answer instead of livelocking).
         self.max_rescatter_rounds = max_rescatter_rounds
-
-    @classmethod
-    def from_factory(
-        cls,
-        factory,
-        client_id: int,
-        stacks,
-        host,
-        stats: ClientStats,
-        rng_for_shard,
-        shard_map: ShardMap,
-        router_stats: Optional[RouterStats] = None,
-        breaker_params: Optional[BreakerParams] = None,
-        record: bool = False,
-        epoch_aware: bool = False,
-    ) -> "ScatterGatherRouter":
-        """Build one client's router with per-shard sessions from the
-        shared :class:`~repro.runtime.factory.SessionFactory`.
-
-        ``rng_for_shard(k)`` returns the client's RNG registry against
-        shard ``k`` (``rngs.shard(k).fork(f"client-{i}")`` in the
-        deployer) — shard-derived so adding shards never perturbs the
-        retry/back-off draws against existing shards.
-        """
-        sessions = factory.build_shard_sessions(
-            client_id, stacks, host, stats, rng_for_shard,
-        )
-        return cls(
-            factory.sim, shard_map, sessions, stats,
-            router_stats=router_stats, breaker_params=breaker_params,
-            record=record, epoch_aware=epoch_aware,
-        )
 
     # -- scatter target selection ------------------------------------------
 

@@ -362,13 +362,6 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        self._seq = seq = self._seq + 1
-        _heappush(
-            self._queue,
-            (self.now + delay, (priority << _PRIO_SHIFT) + seq, event),
-        )
-
     def _crash(self, exc: BaseException) -> None:
         """Record an unhandled process failure; re-raised by run()/step()."""
         if self._pending_crash is None:

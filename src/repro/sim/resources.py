@@ -144,10 +144,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)
-
     def put(self, item: Any) -> StorePut:
         """Add ``item``; blocks (stays pending) if the store is full."""
         return StorePut(self, item)

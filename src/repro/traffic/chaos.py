@@ -28,7 +28,13 @@ import hashlib
 from typing import List, Tuple
 
 from ..cluster.config import ExperimentConfig
-from ..faults.scenarios import ChaosConfig, ScenarioReport
+from ..faults.scenarios import (
+    ChaosConfig,
+    ScenarioReport,
+    client_totals,
+    completion_rates,
+    recovery_check,
+)
 from ..sim.kernel import SimulationError
 from .config import TrafficConfig
 from .harness import TrafficRunner
@@ -72,20 +78,12 @@ def flash_crowd_config(cfg: ChaosConfig) -> ExperimentConfig:
         spike_end=cfg.fault_end,
         spike_multiplier=SPIKE_MULTIPLIER,
     )
-    return ExperimentConfig(
+    return cfg.experiment_config(
         # Event-mode workers: polling workers would spin the scenario's
         # deliberately scarce cores flat even at base load.
         scheme="fast-messaging-event",
-        fabric="ib-100g",
         n_clients=max(cfg.n_clients, 1),
         requests_per_client=max(cfg.requests_per_client, 1),
-        dataset_size=cfg.dataset_size,
-        max_entries=cfg.max_entries,
-        server_cores=cfg.server_cores,
-        heartbeat_interval=cfg.heartbeat_interval,
-        seed=cfg.seed,
-        retry=cfg.retry,
-        max_queue_depth=cfg.max_queue_depth,
         traffic=traffic,
     )
 
@@ -131,12 +129,9 @@ def run_flash_crowd(cfg: ChaosConfig) -> ScenarioReport:
         if ids != expected:
             mismatches += 1
 
-    done_times = sorted(j.t_done for j in jobs if j.status == OK)
-    pre = [t for t in done_times if t < spike_start]
-    post = [t for t in done_times if t >= recover_at]
-    pre_rate = len(pre) / spike_start if pre else 0.0
-    post_span = (done_times[-1] - recover_at) if post else 0.0
-    post_rate = len(post) / post_span if post_span > 0.0 else 0.0
+    pre_rate, post_rate = completion_rates(
+        sorted(j.t_done for j in jobs if j.status == OK),
+        spike_start, recover_at)
 
     spike_span = spike_end - spike_start
     base_span = duration - spike_span
@@ -146,6 +141,7 @@ def run_flash_crowd(cfg: ChaosConfig) -> ScenarioReport:
                           - arrivals_in(spike_start, spike_end)) / base_span
                          if base_span > 0 else 0.0)
 
+    totals = client_totals(runner.client_stats)
     report = ScenarioReport(
         name="flash-crowd",
         seed=cfg.seed,
@@ -154,11 +150,7 @@ def run_flash_crowd(cfg: ChaosConfig) -> ScenarioReport:
         timeouts=result.failed,
         offload_errors=0,
         mismatches=mismatches,
-        retries=sum(int(s.request_retries) for s in runner.session_stats),
-        duplicates_suppressed=sum(
-            int(s.duplicates_suppressed) for s in runner.session_stats),
-        unexpected_messages=sum(
-            int(s.unexpected_messages) for s in runner.session_stats),
+        **totals,
         pre_rate=pre_rate,
         post_rate=post_rate,
         end_time=sim.now,
@@ -170,8 +162,7 @@ def run_flash_crowd(cfg: ChaosConfig) -> ScenarioReport:
             "shed-watermark": result.shed_watermark,
             "shed-admission": result.shed_admission,
             "server-requests-shed": result.server_shed,
-            "retries": sum(
-                int(s.request_retries) for s in runner.session_stats),
+            "retries": totals["retries"],
         },
     )
 
@@ -221,15 +212,7 @@ def run_flash_crowd(cfg: ChaosConfig) -> ScenarioReport:
         f"t={recover_at * 1e3:.2f}ms (drain margin "
         f"{RECOVERY_MARGIN_S * 1e6:.0f}us)",
     ))
-    if pre_rate > 0.0 and post_rate > 0.0:
-        recovered = post_rate >= cfg.recovery_floor * pre_rate
-        detail = (f"post {post_rate / 1e3:.0f} kops vs pre "
-                  f"{pre_rate / 1e3:.0f} kops "
-                  f"(floor {cfg.recovery_floor:.0%})")
-    else:
-        recovered, detail = False, (
-            f"missing sample (pre={len(pre)}, post={len(post)})")
-    checks.append(("throughput-recovered", recovered, detail))
+    checks.append(recovery_check(cfg, pre_rate, post_rate, required=True))
     report.invariants = checks
 
     digest = hashlib.sha256()

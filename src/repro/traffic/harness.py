@@ -1,8 +1,8 @@
 """The latency-under-load harness: open-loop traffic against a cluster.
 
-Builds the same :class:`~repro.runtime.stack.ServerStack` (single) or
-K-stack sharded deployment the closed-loop runners build, but replaces
-the per-client synchronous drivers with:
+The open-loop driver on a :class:`~repro.cluster.deployment.Deployment`
+(one server stack, or K routed ones): it replaces the per-client
+synchronous drivers with
 
     aggregates (open-loop arrivals, bounded windows)
         -> ConnectionMux (watermark + token bucket admission)
@@ -26,20 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from ..client.base import ClientStats
 from ..cluster.config import ExperimentConfig
-from ..cluster.results import RunResult
+from ..cluster.deployment import Deployment
+from ..cluster.results import TO_US, RunResult
 from ..cluster.schemes import TRANSPORT_TCP, scheme_spec
-from ..hw.host import Host
-from ..net.fabric import profile_by_name
-from ..obs import NULL_TRACER, LatencyView, MetricsRegistry, \
-    snapshot_document
-from ..runtime.factory import SessionFactory
-from ..runtime.stack import ServerStack
-from ..sim.kernel import Simulator, all_of
+from ..obs import LatencyView
+from ..sim.kernel import all_of
 from ..sim.monitor import LatencyRecorder
-from ..sim.rng import RngRegistry
-from ..workloads.datasets import uniform_dataset
 from ..workloads.scales import scale_generator
 from .aggregate import AggregateClient
 from .arrivals import aggregate_generator
@@ -85,6 +78,10 @@ class TrafficResult:
     server_cpu_utilization: float
     per_tenant: Dict[str, Dict[str, float]] = field(default_factory=dict)
     metrics: Dict = field(default_factory=dict)
+    #: The run in the closed-loop result shape (CLI/compare), from the
+    #: shared collector: sojourn time as latency, the sessions'
+    #: offload/torn/restart counters, server bandwidth.
+    run_result: Optional[RunResult] = None
 
     @property
     def shed_client_total(self) -> int:
@@ -103,143 +100,36 @@ class TrafficResult:
                 f"{self.sojourn_p99_us:>9.1f} {self.sojourn_p999_us:>9.1f} "
                 f"{self.server_cpu_utilization * 100:>5.1f}%")
 
-    def to_run_result(self) -> RunResult:
-        """Project onto the closed-loop result shape (CLI/compare)."""
-        return RunResult(
-            scheme=self.scheme,
-            fabric=self.fabric,
-            n_clients=self.metrics.get("meta", {}).get("n_aggregates", 0),
-            total_requests=self.arrivals,
-            elapsed_s=self.elapsed_s,
-            throughput_kops=self.achieved_rps / 1e3,
-            mean_latency_us=self.sojourn_mean_us,
-            p50_latency_us=self.sojourn_p50_us,
-            p99_latency_us=self.sojourn_p99_us,
-            p999_latency_us=self.sojourn_p999_us,
-            mean_search_latency_us=self.sojourn_mean_us,
-            server_cpu_utilization=self.server_cpu_utilization,
-            server_bandwidth_gbps=0.0,
-            server_bandwidth_utilization=0.0,
-            offload_fraction=0.0,
-            torn_retries=0,
-            search_restarts=0,
-            extra={
-                "completed": float(self.completed),
-                "failed": float(self.failed),
-                "shed_client": float(self.shed_client_total),
-                "shed_server": float(self.server_shed),
-                "users_touched": float(self.users_touched),
-                "n_shards": float(self.n_shards),
-            },
-            metrics=self.metrics,
-        )
+class TrafficRunner(Deployment):
+    """Builds one open-loop deployment for a config and runs it.
 
-
-class TrafficRunner:
-    """Builds one open-loop deployment for a config and runs it."""
+    More than one shard routes the mux sessions through scatter-gather
+    routers; a single server is driven through plain sessions.
+    """
 
     def __init__(self, config: ExperimentConfig, record: bool = False):
         if config.traffic is None:
             raise ValueError("config.traffic must be set for TrafficRunner")
-        self.config = config
-        self.traffic: TrafficConfig = config.traffic
-        self.spec = scheme_spec(config.scheme)
-        if self.spec.transport == TRANSPORT_TCP:
+        spec = scheme_spec(config.scheme)
+        if spec.transport == TRANSPORT_TCP:
             raise ValueError(
                 "the traffic layer multiplexes fast-messaging/offload "
                 f"sessions; scheme {config.scheme!r} is TCP-based"
             )
-        self.profile = profile_by_name(config.fabric)
-        self.n_shards = config.n_shards or self.spec.shards
-
-        self.sim = Simulator()
-        self.rngs = RngRegistry(config.seed)
-        self.metrics = MetricsRegistry()
-
-        items = config.dataset
-        if items is None:
-            items = uniform_dataset(config.dataset_size, seed=config.seed)
-        self.dataset = items
-
-        self.factory = SessionFactory(self.sim, self.spec, config,
-                                      NULL_TRACER)
-        self.session_stats: List[ClientStats] = []
-        self.sessions = []
-        self.rebalancer = None
-        self.rebalance_stats = None
-        self.live_map = None
-        if self.n_shards > 1:
-            from ..shard.partition import ShardMap, partition_str
-            from ..shard.router import ScatterGatherRouter
-            self.partition = partition_str(items, self.n_shards)
-            # Elastic plane under open-loop traffic: all mux sessions
-            # share the one live map the controller revises (same
-            # contract as the closed-loop sharded deployer).
-            rb = config.rebalance
-            self.rebalance_cfg = rb if (rb is not None and rb.enabled) \
-                else None
-            if self.rebalance_cfg is not None:
-                self.live_map = self.partition.shard_map.copy()
-            self.stacks = [
-                ServerStack(
-                    self.sim, self.profile, self.spec, config,
-                    self.rngs.shard(shard_id), list(slice_items),
-                    name=f"shard{shard_id}-server",
-                )
-                for shard_id, slice_items
-                in enumerate(self.partition.assignments)
-            ]
-            for i in range(self.traffic.sessions):
-                host = Host(self.sim, f"mux-{i}", self.profile,
-                            cores=config.client_cores)
-                stats = ClientStats()
-                router = ScatterGatherRouter.from_factory(
-                    self.factory, i, self.stacks, host, stats,
-                    lambda k, i=i: self.rngs.shard(k).fork(
-                        f"traffic-session-{i}"),
-                    (self.live_map if self.live_map is not None
-                     else ShardMap(list(self.partition.shard_map))),
-                    breaker_params=config.breaker,
-                    epoch_aware=self.live_map is not None,
-                )
-                self.session_stats.append(stats)
-                self.sessions.append(router)
-            if self.rebalance_cfg is not None:
-                from ..shard.rebalance import (
-                    RebalanceController,
-                    RebalanceStats,
-                )
-                self.rebalance_stats = RebalanceStats()
-                self.rebalancer = RebalanceController(
-                    self.sim, self.live_map, self.stacks,
-                    self.rebalance_cfg, stats=self.rebalance_stats,
-                )
-                self.rebalancer.start()
-        else:
-            self.partition = None
-            self.stacks = [ServerStack(
-                self.sim, self.profile, self.spec, config, self.rngs,
-                items,
-            )]
-            for i in range(self.traffic.sessions):
-                host = Host(self.sim, f"mux-{i}", self.profile,
-                            cores=config.client_cores)
-                stats = ClientStats()
-                session = self.factory.build(
-                    i, self.stacks[0], host, stats,
-                    self.rngs.fork(f"traffic-session-{i}"),
-                )
-                self.session_stats.append(stats)
-                self.sessions.append(session)
-        for stack in self.stacks:
-            stack.start_heartbeats()
+        super().__init__(config,
+                         routed=(config.n_shards or spec.shards) > 1)
+        self.traffic: TrafficConfig = config.traffic
+        for i in range(self.traffic.sessions):
+            self.add_client(i, f"traffic-session-{i}")
+        self.start()
+        self.session_stats = self.client_stats
 
         bucket = None
         if self.traffic.admit_rate is not None:
             bucket = TokenBucket(self.traffic.admit_rate,
                                  self.traffic.admit_burst)
         self.mux = ConnectionMux(
-            self.sim, self.sessions, self.traffic.queue_watermark,
+            self.sim, self.clients, self.traffic.queue_watermark,
             bucket=bucket, record=record,
         )
 
@@ -268,18 +158,11 @@ class TrafficRunner:
                 tenant_sojourn=self.tenant_sojourn,
                 hotspots=hotspots,
             ))
-        self._register_metrics()
+        self._register_traffic_metrics()
 
-    def _register_metrics(self) -> None:
+    def _register_traffic_metrics(self) -> None:
         m = self.metrics
-        for k, stack in enumerate(self.stacks):
-            stack.register_metrics(
-                m, label=f"shard{k}" if self.n_shards > 1 else None)
         self.mux.register_metrics(m)
-        if self.rebalance_stats is not None:
-            self.rebalance_stats.register_into(m)
-            m.expose("shard.map_epoch", lambda: self.live_map.epoch)
-            m.expose("shard.tiles", lambda: len(self.live_map.tiles))
         m.expose("traffic.arrivals",
                  lambda: sum(a.arrivals for a in self.aggregates))
         m.expose("traffic.shed_window",
@@ -303,56 +186,36 @@ class TrafficRunner:
         self.mux.close()
         sim.run_until_triggered(all_of(sim, self.mux.dispatchers),
                                 limit=limit)
-        if self.rebalancer is not None:
-            # Finish any in-flight migration so no deployment ends with
-            # an item transiently on two shards (foreground accounting
-            # below only reads per-request records, so this is free).
-            self.rebalancer.stop()
-            step = max(self.rebalance_cfg.interval,
-                       self.rebalance_cfg.drain_s)
-            for _ in range(10_000):
-                if not self.rebalancer.active_migrations:
-                    break
-                sim.run(until=sim.now + step)
-            else:
-                raise RuntimeError("rebalancer failed to settle")
+        # Finish any in-flight migration so no deployment ends with an
+        # item transiently on two shards (foreground accounting below
+        # only reads per-request records, so this is free).
+        self.settle()
         return self._collect()
 
     def _collect(self) -> TrafficResult:
         config, traffic = self.config, self.traffic
-        to_us = 1e6
         self.metrics.adopt(
             "traffic.sojourn_us",
-            LatencyView(self.sojourn, scale=to_us, unit="us", loop="open"),
+            LatencyView(self.sojourn, scale=TO_US, unit="us", loop="open"),
         )
         for name, rec in self.tenant_sojourn.items():
             self.metrics.adopt(
                 f"traffic.sojourn_us.{name}",
-                LatencyView(rec, scale=to_us, unit="us", loop="open"),
+                LatencyView(rec, scale=TO_US, unit="us", loop="open"),
             )
         arrivals = sum(a.arrivals for a in self.aggregates)
         shed_window = sum(a.shed_window for a in self.aggregates)
+        users_touched = sum(a.users_touched for a in self.aggregates)
+        mux = self.mux
         server_shed = sum(
             int(s.fm_server.requests_shed) for s in self.stacks
             if s.fm_server is not None
         )
-        cpu = sum(
-            s.host.cpu.utilization() for s in self.stacks
-        ) / len(self.stacks)
-        per_tenant = {
-            name: {
-                "count": float(rec.count),
-                "p50_us": rec.percentile(50) * to_us,
-                "p99_us": rec.percentile(99) * to_us,
-            }
-            for name, rec in self.tenant_sojourn.items()
-        }
-        doc = snapshot_document(
-            self.metrics,
+        achieved_rps = mux.completed / traffic.duration_s
+        run_result = self.collect(
+            self.sojourn, self.sojourn, arrivals, self.sim.now,
+            achieved_rps / 1e3, traffic.n_aggregates,
             meta={
-                "scheme": config.scheme,
-                "fabric": config.fabric,
-                "seed": config.seed,
                 "loop": "open",
                 "arrival_kind": traffic.kind,
                 "offered_rps": traffic.rate,
@@ -362,34 +225,52 @@ class TrafficRunner:
                 "n_shards": self.n_shards,
                 "sessions": traffic.sessions,
             },
+            extra={
+                "completed": float(mux.completed),
+                "failed": float(mux.failed),
+                "shed_client": float(shed_window + mux.shed_watermark
+                                     + mux.shed_admission),
+                "shed_server": float(server_shed),
+                "users_touched": float(users_touched),
+                "n_shards": float(self.n_shards),
+            },
         )
+        per_tenant = {
+            name: {
+                "count": float(rec.count),
+                "p50_us": rec.percentile(50) * TO_US,
+                "p99_us": rec.percentile(99) * TO_US,
+            }
+            for name, rec in self.tenant_sojourn.items()
+        }
         return TrafficResult(
             scheme=config.scheme,
             fabric=config.fabric,
             n_shards=self.n_shards,
             kind=traffic.kind,
             offered_rps=traffic.rate,
-            achieved_rps=self.mux.completed / traffic.duration_s,
+            achieved_rps=achieved_rps,
             duration_s=traffic.duration_s,
             elapsed_s=self.sim.now,
             arrivals=arrivals,
-            admitted=self.mux.admitted,
-            completed=self.mux.completed,
-            failed=self.mux.failed,
+            admitted=mux.admitted,
+            completed=mux.completed,
+            failed=mux.failed,
             shed_window=shed_window,
-            shed_watermark=self.mux.shed_watermark,
-            shed_admission=self.mux.shed_admission,
+            shed_watermark=mux.shed_watermark,
+            shed_admission=mux.shed_admission,
             server_shed=server_shed,
             users_total=traffic.total_users,
-            users_touched=sum(a.users_touched for a in self.aggregates),
-            sojourn_mean_us=self.sojourn.mean * to_us,
-            sojourn_p50_us=self.sojourn.percentile(50) * to_us,
-            sojourn_p95_us=self.sojourn.percentile(95) * to_us,
-            sojourn_p99_us=self.sojourn.percentile(99) * to_us,
-            sojourn_p999_us=self.sojourn.percentile(99.9) * to_us,
-            server_cpu_utilization=cpu,
+            users_touched=users_touched,
+            sojourn_mean_us=run_result.mean_latency_us,
+            sojourn_p50_us=run_result.p50_latency_us,
+            sojourn_p95_us=self.sojourn.percentile(95) * TO_US,
+            sojourn_p99_us=run_result.p99_latency_us,
+            sojourn_p999_us=run_result.p999_latency_us,
+            server_cpu_utilization=run_result.server_cpu_utilization,
             per_tenant=per_tenant,
-            metrics=doc,
+            metrics=run_result.metrics,
+            run_result=run_result,
         )
 
 
@@ -401,7 +282,7 @@ def run_traffic(config: ExperimentConfig,
 
 def run_traffic_experiment(config: ExperimentConfig) -> RunResult:
     """The :func:`~repro.cluster.builder.run_experiment` dispatch target."""
-    return run_traffic(config).to_run_result()
+    return run_traffic(config).run_result
 
 
 def rate_sweep(config: ExperimentConfig,
@@ -412,11 +293,5 @@ def rate_sweep(config: ExperimentConfig,
     results = []
     for rate in rates:
         point = replace(config.traffic, rate=rate)
-        results.append(run_traffic(replace_config(config, point)))
+        results.append(run_traffic(replace(config, traffic=point)))
     return results
-
-
-def replace_config(config: ExperimentConfig,
-                   traffic: TrafficConfig) -> ExperimentConfig:
-    """A copy of ``config`` with a different traffic block."""
-    return replace(config, traffic=traffic)

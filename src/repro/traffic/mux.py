@@ -23,8 +23,8 @@ error) are counted as ``failed`` — together with the server's own
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from ..client.base import Request
 from ..client.offload_client import OffloadError
@@ -138,14 +138,6 @@ class ConnectionMux:
             for i, session in enumerate(sessions)
         ]
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self.queue)
-
-    @property
-    def shed_total(self) -> int:
-        return self.shed_watermark + self.shed_admission
-
     # -- admission ---------------------------------------------------------
 
     def offer(self, job: TrafficJob) -> bool:
@@ -210,8 +202,3 @@ class ConnectionMux:
     def sheds_in(self, start: float, end: float) -> int:
         """Front-end sheds with timestamp in ``[start, end)``."""
         return sum(1 for t in self.shed_times if start <= t < end)
-
-    def completion_times(self) -> Tuple[float, ...]:
-        return tuple(sorted(
-            j.t_done for j in self.finished_jobs if j.status == OK
-        ))

@@ -7,9 +7,8 @@ import pytest
 from repro.btree import (
     BTreeOffloadEngine,
     BTreeService,
-    KvCatfishSession,
     KvFmSession,
-    KvOffloadSession,
+    KvPolicySession,
     KvRequest,
     OP_GET,
     OP_PUT,
@@ -19,6 +18,7 @@ from repro.client import AdaptiveParams, ClientStats
 from repro.hw import Host
 from repro.msg import Heartbeat
 from repro.net import IB_100G, Network
+from repro.runtime import Algorithm1Policy, AlwaysOffloadPolicy
 from repro.server import EVENT, FastMessagingServer
 from repro.sim import Simulator
 
@@ -228,14 +228,19 @@ class TestOffloadPath:
         assert second == [(10**6, 0)]
 
 
+def adaptive_session(sim, fm, engine, stats, **policy_kwargs):
+    """A B+tree session driven by Algorithm 1."""
+    policy = Algorithm1Policy(sim, lambda: fm.mailbox,
+                              params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
+                              **policy_kwargs)
+    return KvPolicySession(sim, fm, engine, stats, policy)
+
+
 class TestAdaptiveKv:
     def test_catfish_session_offloads_under_load(self):
         sim, sh, service, fm, engine, stats, keys = make_kv(cores=2)
-        session = KvCatfishSession(
-            sim, fm, engine, stats,
-            params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
-            rng=random.Random(5),
-        )
+        session = adaptive_session(sim, fm, engine, stats,
+                                   rng=random.Random(5))
 
         def feeder():
             # emulate heartbeats reporting a saturated server
@@ -257,10 +262,7 @@ class TestAdaptiveKv:
 
     def test_puts_never_offloaded(self):
         sim, sh, service, fm, engine, stats, keys = make_kv()
-        session = KvCatfishSession(
-            sim, fm, engine, stats,
-            params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
-        )
+        session = adaptive_session(sim, fm, engine, stats)
         fm.mailbox.deliver(Heartbeat(1.0, seq=fm.mailbox.seq + 1))
 
         def client():
@@ -275,7 +277,8 @@ class TestAdaptiveKv:
 
     def test_offload_session_baseline(self):
         sim, sh, service, fm, engine, stats, keys = make_kv()
-        session = KvOffloadSession(engine, fm, stats)
+        session = KvPolicySession(sim, fm, engine, stats,
+                                  AlwaysOffloadPolicy())
 
         def client():
             items = yield from session.execute(

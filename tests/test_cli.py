@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -225,8 +227,6 @@ class TestPerfSubcommand:
 
     def test_perf_writes_artifact(self, tmp_path, monkeypatch, capsys):
         """A tiny perf run produces a schema-valid artifact."""
-        import json
-
         from repro import perfbench
 
         tiny = dict(kernel_loops=2_000, search_queries=20,
@@ -252,3 +252,46 @@ class TestPerfSubcommand:
         assert doc["baseline"] is not None
         assert set(doc["speedup"]) == {"kernel", "search", "search_batched",
                                        "end_to_end"}
+
+
+class TestTrafficSubcommand:
+    SMALL = ["--rate", "100000", "--duration-ms", "0.5",
+             "--aggregates", "2", "--users-per-aggregate", "64",
+             "--sessions", "2", "--dataset-size", "500",
+             "--server-cores", "2"]
+
+    def test_single_server_prints_a_row(self, capsys):
+        code = main(["traffic"] + self.SMALL)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "open-loop poisson traffic: 128 virtual users" in out
+        assert "p99us" in out
+
+    def test_sharded_run(self, capsys, tmp_path):
+        path = tmp_path / "traffic.json"
+        code = main(["traffic", "--shards", "2", "--scheme", "catfish",
+                     "--metrics-out", str(path), "-v"] + self.SMALL)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert ", 2 shards" in out
+        assert "users touched:" in out
+        metrics = json.loads(path.read_text())["metrics"]
+        assert metrics["router.queries_routed"]["value"] > 0
+        assert metrics["shard.n_shards"]["value"] == 2
+
+    def test_tenants(self, capsys):
+        code = main(["traffic", "--tenant", "gold:3", "--tenant", "free",
+                     "-v"] + self.SMALL)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "tenant gold:" in out
+        assert "tenant free:" in out
+
+    def test_bad_tenant_spec_exits(self):
+        with pytest.raises(SystemExit):
+            main(["traffic", "--tenant", ":2"] + self.SMALL)
+
+    def test_rejects_non_rdma_fabric(self, capsys):
+        code = main(["traffic", "--fabric", "eth-1g"] + self.SMALL)
+        assert code == 2
+        assert "RDMA fabric" in capsys.readouterr().err

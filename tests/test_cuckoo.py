@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 from repro.btree import KvFmSession, KvRequest, OP_GET, OP_PUT
 from repro.client import AdaptiveParams, ClientStats
 from repro.cuckoo import (
-    CuckooCatfishSession,
     CuckooFullError,
     CuckooHashTable,
     CuckooOffloadEngine,
+    CuckooPolicySession,
     CuckooService,
 )
 from repro.hw import Host
 from repro.msg import Heartbeat
 from repro.net import IB_100G, Network
+from repro.runtime import Algorithm1Policy
 from repro.server import EVENT, FastMessagingServer
 from repro.sim import Simulator
 from repro.transport import connect
@@ -246,11 +247,12 @@ class TestService:
 
     def test_catfish_session_offloads_when_busy(self):
         sim, sh, service, fm, engine, stats, keys = make_cuckoo(cores=2)
-        session = CuckooCatfishSession(
-            sim, fm, engine, stats,
+        policy = Algorithm1Policy(
+            sim, lambda: fm.mailbox,
             params=AdaptiveParams(N=8, T=0.9, Inv=0.2e-3),
             rng=random.Random(5),
         )
+        session = CuckooPolicySession(sim, fm, engine, stats, policy)
 
         def feeder():
             while sim.now < 20e-3:

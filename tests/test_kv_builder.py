@@ -3,9 +3,39 @@
 import pytest
 
 from repro.cluster import KvExperimentConfig, run_kv_experiment
+from repro.cluster.results import result_fingerprint
 
 SMALL = dict(n_clients=4, requests_per_client=40, n_keys=3000,
              server_cores=4, heartbeat_interval=0.2e-3, seed=2)
+
+#: One saturated server core, so the adaptive and bandit clients use
+#: both paths; B+tree points mix in range scans.
+PINNED = dict(n_clients=6, requests_per_client=40, n_keys=3000,
+              server_cores=1, heartbeat_interval=0.1e-3, seed=2)
+
+#: ``result_fingerprint`` of every KV point, captured when the KV clients
+#: were still dedicated session classes (before they became
+#: ``PolicySession`` subclasses driven by the shared closed-loop driver).
+#: Do not regenerate to make a failing test pass: a mismatch means the
+#: simulation's behaviour changed.
+GOLDEN_KV = {
+    ("btree", "fast-messaging"): "83a7f877bfb7147d",
+    ("btree", "rdma-offloading"): "13fd329d11a5a47f",
+    ("btree", "catfish"): "7a886ce1bcb65d93",
+    ("btree", "catfish-bandit"): "3403b0fe73880ca5",
+    ("cuckoo", "fast-messaging"): "2e178eb4b2fe1f70",
+    ("cuckoo", "rdma-offloading"): "f4a37d881c04a3af",
+    ("cuckoo", "catfish"): "88d6efb618dd53d9",
+    ("cuckoo", "catfish-bandit"): "77b96d4d7edb2228",
+}
+
+
+@pytest.mark.parametrize("index,scheme", sorted(GOLDEN_KV))
+def test_kv_fingerprint_matches_golden(index, scheme):
+    scans = dict(scan_fraction=0.05) if index == "btree" else {}
+    result = run_kv_experiment(KvExperimentConfig(
+        index=index, scheme=scheme, **PINNED, **scans))
+    assert result_fingerprint(result) == GOLDEN_KV[(index, scheme)]
 
 
 class TestConfig:

@@ -6,7 +6,6 @@ import pytest
 
 from repro import ExperimentConfig, run_experiment
 from repro.client import (
-    BanditSession,
     ClientStats,
     EwmaPredictor,
     Request,
@@ -14,8 +13,13 @@ from repro.client import (
     make_predictor,
     most_recent,
 )
-from repro.client.bandit import FAST_MESSAGING, OFFLOADING
 from repro.rtree import Rect
+from repro.runtime import (
+    FAST_MESSAGING,
+    OFFLOADING,
+    BanditPolicy,
+    PolicySession,
+)
 from repro.sim import Simulator
 
 RECT = Rect(0.1, 0.1, 0.2, 0.2)
@@ -105,6 +109,12 @@ class _FixedLatencyArm:
         return []
 
 
+def bandit_session(sim, fm, engine, **policy_kwargs):
+    """A bandit-driven session over the two stub arms."""
+    return PolicySession(sim, fm, engine, ClientStats(),
+                         BanditPolicy(**policy_kwargs))
+
+
 class TestBanditUnit:
     def _drive(self, session, sim, n):
         def proc():
@@ -115,67 +125,63 @@ class TestBanditUnit:
         sim.run_until_triggered(done)
 
     def test_validation(self):
-        sim = Simulator()
-        fm = _FixedLatencyArm(sim, 1e-6)
-        engine = _FixedLatencyArm(sim, 1e-6)
         with pytest.raises(ValueError):
-            BanditSession(sim, fm, engine, ClientStats(), epsilon=1.5)
+            BanditPolicy(epsilon=1.5)
         with pytest.raises(ValueError):
-            BanditSession(sim, fm, engine, ClientStats(), alpha=0.0)
+            BanditPolicy(alpha=0.0)
 
     def test_converges_to_faster_arm(self):
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 100e-6)      # slow
         engine = _FixedLatencyArm(sim, 10e-6)   # fast
-        session = BanditSession(sim, fm, engine, ClientStats(),
-                                epsilon=0.1, rng=random.Random(1))
+        session = bandit_session(sim, fm, engine,
+                                 epsilon=0.1, rng=random.Random(1))
         self._drive(session, sim, 200)
-        assert session.mode_counts[OFFLOADING] > \
-            session.mode_counts[FAST_MESSAGING] * 3
+        assert session.policy.mode_counts[OFFLOADING] > \
+            session.policy.mode_counts[FAST_MESSAGING] * 3
 
     def test_converges_to_fm_when_fm_faster(self):
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 10e-6)
         engine = _FixedLatencyArm(sim, 100e-6)
-        session = BanditSession(sim, fm, engine, ClientStats(),
-                                epsilon=0.1, rng=random.Random(2))
+        session = bandit_session(sim, fm, engine,
+                                 epsilon=0.1, rng=random.Random(2))
         self._drive(session, sim, 200)
-        assert session.mode_counts[FAST_MESSAGING] > \
-            session.mode_counts[OFFLOADING] * 3
+        assert session.policy.mode_counts[FAST_MESSAGING] > \
+            session.policy.mode_counts[OFFLOADING] * 3
 
     def test_explores_both_arms(self):
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 10e-6)
         engine = _FixedLatencyArm(sim, 10e-6)
-        session = BanditSession(sim, fm, engine, ClientStats(),
-                                epsilon=0.3, rng=random.Random(3))
+        session = bandit_session(sim, fm, engine,
+                                 epsilon=0.3, rng=random.Random(3))
         self._drive(session, sim, 100)
-        assert session.mode_counts[FAST_MESSAGING] > 0
-        assert session.mode_counts[OFFLOADING] > 0
-        assert session.explorations > 0
+        assert session.policy.mode_counts[FAST_MESSAGING] > 0
+        assert session.policy.mode_counts[OFFLOADING] > 0
+        assert session.policy.explorations > 0
 
     def test_adapts_when_latencies_flip(self):
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 10e-6)
         engine = _FixedLatencyArm(sim, 100e-6)
-        session = BanditSession(sim, fm, engine, ClientStats(),
-                                epsilon=0.15, alpha=0.5,
-                                rng=random.Random(4))
+        session = bandit_session(sim, fm, engine,
+                                 epsilon=0.15, alpha=0.5, rng=random.Random(4))
         self._drive(session, sim, 150)
         # flip the world: fm becomes slow
         fm.latency, engine.latency = 100e-6, 10e-6
-        before = dict(session.mode_counts)
+        before = dict(session.policy.mode_counts)
         self._drive(session, sim, 300)
-        offload_delta = session.mode_counts[OFFLOADING] - before[OFFLOADING]
-        fm_delta = session.mode_counts[FAST_MESSAGING] - before[FAST_MESSAGING]
+        counts = session.policy.mode_counts
+        offload_delta = counts[OFFLOADING] - before[OFFLOADING]
+        fm_delta = counts[FAST_MESSAGING] - before[FAST_MESSAGING]
         assert offload_delta > fm_delta
 
     def test_writes_bypass_the_bandit(self):
         sim = Simulator()
         fm = _FixedLatencyArm(sim, 10e-6)
         engine = _FixedLatencyArm(sim, 1e-6)
-        session = BanditSession(sim, fm, engine, ClientStats(),
-                                rng=random.Random(5))
+        session = bandit_session(sim, fm, engine, rng=random.Random(5))
 
         def proc():
             for i in range(10):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.client import ClientStats
-from repro.client.adaptive import AdaptiveParams, CatfishSession
+from repro.client.adaptive import AdaptiveParams
 from repro.client.base import OP_INSERT, OP_SEARCH, Request
 from repro.client.fm_client import FmSession
 from repro.client.offload_client import OffloadEngine, OffloadError
@@ -23,6 +23,7 @@ from repro.msg import SearchRequest, message_size
 from repro.msg.ringbuffer import RingBuffer, RingBufferFullError
 from repro.net import IB_100G, Network
 from repro.rtree import Rect
+from repro.runtime import Algorithm1Policy, PolicySession
 from repro.server import EVENT, FastMessagingServer, RTreeServer
 from repro.server.heartbeat import HeartbeatMailbox
 from repro.sim import Simulator
@@ -311,7 +312,7 @@ class TestFmRetries:
         assert len(proc.value) == 500
 
 
-class _FlakyCatfish(CatfishSession):
+class _FlakyCatfish(PolicySession):
     """Adaptive session whose offload path fails until ``fail_until``."""
 
     def __init__(self, *args, fail_until=0.0, **kwargs):
@@ -338,7 +339,8 @@ def _adaptive_stack(fail_until, breaker_params):
     breaker = (CircuitBreaker(sim, breaker_params)
                if breaker_params is not None else None)
     session = _FlakyCatfish(
-        sim, fm, engine, stats, params=AdaptiveParams(),
+        sim, fm, engine, stats,
+        Algorithm1Policy(sim, lambda: fm.mailbox, params=AdaptiveParams()),
         breaker=breaker, fail_until=fail_until,
     )
     return sim, session, breaker, stats
@@ -382,7 +384,7 @@ class TestOffloadBreaker:
         # Every request completed despite the storm: failover served them.
         assert len(done) == 80
         assert int(breaker.trips) >= 1
-        assert int(session.offload_failovers) >= 3
+        assert int(session.policy.offload_failovers) >= 3
         # While OPEN, requests were short-circuited straight to FM.
         assert int(breaker.short_circuits) >= 1
         # After the storm a half-open probe succeeded and closed it.
@@ -396,41 +398,42 @@ class _StubFm:
         self.mailbox = HeartbeatMailbox()
 
 
+def _stale_session(sim, fm):
+    policy = Algorithm1Policy(
+        sim, lambda: fm.mailbox,
+        params=AdaptiveParams(N=4, T=0.95, Inv=1e-6),
+        stale_after_missing=2,
+    )
+    return PolicySession(sim, fm, None, ClientStats(), policy)
+
+
 class TestStaleHeartbeats:
     def test_missing_streak_cancels_offload_budget(self):
         sim = Simulator()
-        session = CatfishSession(
-            sim, _StubFm(), engine=None, stats=ClientStats(),
-            params=AdaptiveParams(N=4, T=0.95, Inv=1e-6),
-            stale_after_missing=2,
-        )
-        session.r_busy = 1
-        session.r_off = 5
-        session._t0 = -1.0  # force the Inv-elapsed branch
+        session = _stale_session(sim, _StubFm())
+        session.policy.r_busy = 1
+        session.policy.r_off = 5
+        session.policy._t0 = -1.0  # force the Inv-elapsed branch
 
         assert session._decide() is True   # 1st miss: budget still drains
-        assert session.r_off == 4
+        assert session.policy.r_off == 4
         assert session._decide() is False  # 2nd miss: budget cancelled
-        assert session.r_off == 0 and session.r_busy == 0
-        assert int(session.stale_resets) == 1
-        assert int(session.heartbeats_missing) == 2
+        assert session.policy.r_off == 0 and session.policy.r_busy == 0
+        assert int(session.policy.stale_resets) == 1
+        assert int(session.policy.heartbeats_missing) == 2
 
     def test_fresh_heartbeat_resets_streak(self):
         sim = Simulator()
         fm = _StubFm()
-        session = CatfishSession(
-            sim, fm, engine=None, stats=ClientStats(),
-            params=AdaptiveParams(N=4, T=0.95, Inv=1e-6),
-            stale_after_missing=2,
-        )
-        session._t0 = -1.0
-        session.r_off = 3
+        session = _stale_session(sim, fm)
+        session.policy._t0 = -1.0
+        session.policy.r_off = 3
         assert session._decide() is True   # miss #1
         from repro.msg import Heartbeat
         fm.mailbox.deliver(Heartbeat(utilization=0.0, seq=7))
-        session._t0 = -1.0
+        session.policy._t0 = -1.0
         assert session._decide() is True   # fresh: streak cleared
-        assert session._missing_streak == 0
-        session._t0 = -1.0
+        assert session.policy._missing_streak == 0
+        session.policy._t0 = -1.0
         assert session._decide() is True   # miss #1 again, no reset
-        assert int(session.stale_resets) == 0
+        assert int(session.policy.stale_resets) == 0

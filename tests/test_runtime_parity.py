@@ -11,10 +11,7 @@ simulation's behaviour changed.
 
 import pytest
 
-from repro.client.adaptive import CatfishSession, most_recent_utilization
-from repro.client.bandit import BanditSession
 from repro.client.fm_client import FmSession
-from repro.client.predictors import most_recent
 from repro.client.resilience import BreakerParams
 from repro.cluster.builder import ExperimentRunner, run_experiment
 from repro.cluster.config import ExperimentConfig
@@ -73,8 +70,8 @@ GOLDEN_CHAOS = {
 EXPECTED_SHAPE = {
     "never": (PolicySession, AlwaysFmPolicy),
     "always": (PolicySession, AlwaysOffloadPolicy),
-    "adaptive": (CatfishSession, Algorithm1Policy),
-    "bandit": (BanditSession, BanditPolicy),
+    "adaptive": (PolicySession, Algorithm1Policy),
+    "bandit": (PolicySession, BanditPolicy),
 }
 
 
@@ -221,10 +218,3 @@ def test_sharded_adaptive_aggregates_now_registered():
     names = set(runner.metrics.snapshot())
     assert {"adaptive.decisions_offload", "adaptive.decisions_fm",
             "offload.chunks_fetched"} <= names
-
-
-# -- satellite: predictor dedupe ----------------------------------------
-
-def test_most_recent_utilization_is_the_predictors_implementation():
-    assert most_recent_utilization is most_recent
-    assert most_recent_utilization(0.42) == 0.42

@@ -6,11 +6,14 @@ are a pure function of (seed, stream names, rate shape) — independent of
 tenant mix, shard count, and everything downstream of the generator.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.builder import run_experiment
 from repro.cluster.config import ExperimentConfig
-from repro.faults import run_scenario
+from repro.faults import FaultPlan, LinkFault, run_scenario
+from repro.faults.plan import BOTH
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.traffic import (
@@ -293,6 +296,47 @@ class TestHarness:
         finished = {(j.aggregate_id, j.seq)
                     for j in runner.mux.finished_jobs}
         assert len(finished) == len(runner.mux.finished_jobs)
+
+
+class TestOpenLoopResults:
+    """The open loop reports through the deployment's shared collector,
+    so its results carry the same client, offload and fault counters as
+    a closed-loop run."""
+
+    LOSSY = FaultPlan((LinkFault(0.0, 1e-3, direction=BOTH, loss_prob=0.3,
+                                 retransmit_delay_s=10e-6),))
+
+    def test_offload_fraction_matches_the_sessions(self):
+        config = replace(_config(rate=200_000.0), scheme="rdma-offloading")
+        runner = TrafficRunner(config)
+        result = runner.run().run_result
+        offloaded = sum(int(s.offloaded_requests)
+                        for s in runner.session_stats)
+        routed = offloaded + sum(int(s.fast_messaging_requests)
+                                 for s in runner.session_stats)
+        assert result.offload_fraction > 0
+        assert result.offload_fraction == offloaded / routed
+        assert result.server_bandwidth_gbps > 0
+        doc = result.metrics["metrics"]
+        assert doc["client.offloaded_requests"]["value"] == offloaded
+        assert doc["offload.chunks_fetched"]["value"] > 0
+
+    def test_fault_plan_is_injected(self):
+        result = run_experiment(replace(_config(), fault_plan=self.LOSSY))
+        assert result.metrics["metrics"]["faults.packets_dropped"][
+            "value"] > 0
+
+    def test_sharded_run_reports_router_and_faults(self):
+        config = replace(_config(), scheme="catfish", n_shards=2,
+                         fault_plan=self.LOSSY)
+        doc = run_experiment(config).metrics["metrics"]
+        assert doc["faults.packets_dropped"]["value"] > 0
+        assert doc["router.queries_routed"]["value"] > 0
+        assert doc["adaptive.decisions_fm"]["value"] > 0
+
+    def test_trace_config_builds_a_tracer(self):
+        result = run_traffic(replace(_config(), trace=True))
+        assert result.metrics["trace"]["events"]
 
 
 class TestFlashCrowdScenario:
