@@ -1,7 +1,7 @@
 """Client-side B+tree access over the Catfish framework.
 
 * :class:`KvFmSession` — get/put/delete/scan through the ring buffer
-  (reuses the generic receiver of :class:`FmSession`);
+  (the :class:`FmSession` attempt loop with the KV codec);
 * :class:`BTreeOffloadEngine` — one-sided traversal: point lookups walk
   root→leaf with validated chunk reads; range scans multi-issue all the
   leaves the parent points into the range (the B+tree analogue of the
@@ -22,7 +22,6 @@ from ..msg.codec import (
     KvGetRequest,
     KvPutRequest,
     KvScanRequest,
-    ResponseSegment,
 )
 from ..runtime.session import PolicySession
 from ..server.costs import CostModel
@@ -65,30 +64,17 @@ class KvRequest:
 class KvFmSession(FmSession):
     """Fast messaging for KV requests (same rings, different codec)."""
 
-    def execute(self, request: KvRequest) -> Generator:
-        self.stats.fast_messaging_requests += 1
+    def _make_wire(self, request: KvRequest):
+        """Encode ``request`` under a fresh request id."""
         req_id = self._ids.next_id()
         if request.op == OP_GET:
-            wire = KvGetRequest(req_id, request.key)
-        elif request.op == OP_PUT:
-            wire = KvPutRequest(req_id, request.key, request.value)
-        elif request.op == OP_KV_DELETE:
-            wire = KvDeleteRequest(req_id, request.key)
-        else:
-            wire = KvScanRequest(req_id, request.lo, request.hi,
-                                 request.max_results)
-        yield from self.conn.request_ring.reserve(wire)
-        yield self.conn.client_post_request(wire)
-        results: List[Tuple[int, int]] = []
-        while True:
-            segment: ResponseSegment = yield self._segments.get()
-            if segment.req_id != wire.req_id:
-                raise RuntimeError("out-of-order response on a sync client")
-            results.extend(segment.results)
-            if segment.last:
-                break
-        self.stats.results_received += len(results)
-        return results
+            return KvGetRequest(req_id, request.key)
+        if request.op == OP_PUT:
+            return KvPutRequest(req_id, request.key, request.value)
+        if request.op == OP_KV_DELETE:
+            return KvDeleteRequest(req_id, request.key)
+        return KvScanRequest(req_id, request.lo, request.hi,
+                             request.max_results)
 
 
 class BTreeOffloadEngine:
@@ -159,7 +145,10 @@ class BTreeOffloadEngine:
             ):
                 return view
             self.stats.torn_retries += 1
-            yield self.sim.timeout(self.retry_backoff * (attempt + 1))
+            if attempt < self.max_read_retries - 1:
+                # No backoff after the final attempt: the caller restarts
+                # (or fails) at once.
+                yield self.sim.timeout(self.retry_backoff * (attempt + 1))
         return None
 
     # -- operations -------------------------------------------------------------

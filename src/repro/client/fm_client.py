@@ -13,9 +13,9 @@ a timed-out attempt is *abandoned* (its request id is remembered so
 late-arriving segments are suppressed as duplicates, never delivered) and
 the request is re-sent under a fresh id.  Ring reservations become
 bounded waits (``reserve_within``) so a wedged server cannot block the
-client forever.  Without a policy the original always-blocking behaviour
-is preserved bit-for-bit — the resilience layer costs nothing unless
-requested.
+client forever.  Without a policy a request makes a single attempt that
+blocks on ring space and waits for its response with no deadline and no
+timer, so fault-free runs pay nothing for the retry machinery.
 """
 
 from __future__ import annotations
@@ -131,53 +131,66 @@ class FmSession:
         raise ValueError(request.op)  # pragma: no cover - Request validates
 
     def execute(self, request: Request) -> Generator:
-        """Run one request through fast messaging; returns the results."""
+        """Run one request through fast messaging; returns the results.
+
+        Without a retry policy the request makes one attempt that blocks
+        on ring space and waits for its response with no deadline.
+        """
         self.stats.fast_messaging_requests += 1
         policy = self.retry
-        if policy is None:
-            result = yield from self._execute_blocking(request)
-            return result
-        attempts = policy.attempts_for(request.op)
+        attempts = 1 if policy is None else policy.attempts_for(request.op)
         for attempt in range(attempts):
             wire = self._make_wire(request)
-            try:
-                yield from self.conn.request_ring.reserve_within(
-                    wire, policy.reserve_timeout
-                )
-            except RingBufferFullError:
-                self.stats.ring_full_timeouts += 1
-                if attempt + 1 >= attempts:
-                    raise RequestTimeoutError(
-                        f"{request.op}: request ring still full after "
-                        f"{attempts} bounded reservation(s)"
-                    ) from None
-                self.stats.request_retries += 1
-                yield self.sim.timeout(policy.backoff_s(attempt, self.rng))
-                continue
+            # Ring-buffer flow control, then the actual RDMA Write (w/ IMM
+            # in event mode).  The client continues once the write is
+            # acknowledged.
+            if policy is None:
+                yield from self.conn.request_ring.reserve(wire)
+            else:
+                try:
+                    yield from self.conn.request_ring.reserve_within(
+                        wire, policy.reserve_timeout
+                    )
+                except RingBufferFullError:
+                    self.stats.ring_full_timeouts += 1
+                    if attempt + 1 >= attempts:
+                        raise RequestTimeoutError(
+                            f"{request.op}: request ring still full after "
+                            f"{attempts} bounded reservation(s)"
+                        ) from None
+                    self.stats.request_retries += 1
+                    yield self.sim.timeout(policy.backoff_s(attempt, self.rng))
+                    continue
             yield self.conn.client_post_request(wire)
-            outcome = yield from self._collect(request, wire,
-                                               policy.deadline_s)
+            outcome = yield from self._collect(
+                request, wire, None if policy is None else policy.deadline_s
+            )
             if outcome is not _TIMED_OUT:
                 return outcome
+            # Only a retry policy's deadline times an attempt out.
+            assert policy is not None
             self.stats.request_timeouts += 1
-            if attempt + 1 < attempts:
-                self.stats.request_retries += 1
-                yield self.sim.timeout(policy.backoff_s(attempt, self.rng))
-        raise RequestTimeoutError(
-            f"{request.op} got no response within {attempts} attempt(s) "
-            f"of {policy.deadline_s * 1e6:.0f} us each"
-        )
+            if attempt + 1 >= attempts:
+                raise RequestTimeoutError(
+                    f"{request.op} got no response within {attempts} "
+                    f"attempt(s) of {policy.deadline_s * 1e6:.0f} us each"
+                )
+            self.stats.request_retries += 1
+            yield self.sim.timeout(policy.backoff_s(attempt, self.rng))
 
     def _collect(self, request: Request, wire,
-                 deadline_s: float) -> Generator:
-        """Gather segments for ``wire`` until END, or ``_TIMED_OUT``."""
+                 deadline_s: Optional[float]) -> Generator:
+        """Gather segments for ``wire`` until END, or ``_TIMED_OUT``.
+
+        ``deadline_s`` None waits for the END segment indefinitely.
+        """
         sim = self.sim
-        deadline = sim.now + deadline_s
+        deadline = None if deadline_s is None else sim.now + deadline_s
         results: List[Tuple[Rect, int]] = []
         count: Optional[int] = None
         while True:
             get = self._segments.get()
-            if get.triggered:
+            if deadline is None or get.triggered:
                 segment = yield get
             else:
                 remaining = deadline - sim.now
@@ -199,35 +212,6 @@ class FmSession:
                 if segment.last:
                     self._abandoned.discard(segment.req_id)
                 continue
-            results.extend(segment.results)
-            if segment.count is not None:
-                count = segment.count
-            if segment.last:
-                break
-        return self._finish(request, results, count)
-
-    def _execute_blocking(self, request: Request) -> Generator:
-        """The no-policy path: block on the ring, wait unboundedly.
-
-        Kept separate (and identical to the pre-resilience behaviour, a
-        strict mismatch still being an error) so fault-free experiments
-        pay nothing for the retry machinery.
-        """
-        wire = self._make_wire(request)
-        # Ring-buffer flow control, then the actual RDMA Write (w/ IMM in
-        # event mode).  The client continues once the write is acknowledged.
-        yield from self.conn.request_ring.reserve(wire)
-        yield self.conn.client_post_request(wire)
-
-        results: List[Tuple[Rect, int]] = []
-        count: Optional[int] = None
-        while True:
-            segment: ResponseSegment = yield self._segments.get()
-            if segment.req_id != wire.req_id:
-                raise RuntimeError(
-                    f"segment for {segment.req_id} while awaiting "
-                    f"{wire.req_id} (clients are synchronous)"
-                )
             results.extend(segment.results)
             if segment.count is not None:
                 count = segment.count

@@ -54,7 +54,6 @@ class NodeCacheConfig:
     them while LRU evicts cold subtrees under pressure.
     """
 
-    enabled: bool = True
     max_nodes: int = 512
 
     def __post_init__(self):

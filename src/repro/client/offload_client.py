@@ -32,7 +32,9 @@ pre-cache engine.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+import heapq
+import itertools
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..obs.registry import Counter
 from ..obs.trace import NULL_SPAN, NULL_TRACER
@@ -245,6 +247,36 @@ class OffloadEngine:
                 yield self.sim.timeout(self.retry_backoff * (attempt + 1))
         return None
 
+    # -- the restart loop ----------------------------------------------------
+    #
+    # search, search_batch and nearest run one loop: an attempt per
+    # restart, an attempt returning None meaning "stale root or persistent
+    # torn reads: retraverse".  The loop is written inline in each (no
+    # extra generator frame per request); these helpers hold its span and
+    # results bookkeeping.
+
+    def _complete(self, span, restart: int, results: int, **attrs) -> None:
+        self._span = NULL_SPAN
+        self.stats.results_received += results
+        span.end(restarts=restart, **attrs, results=results)
+
+    def _restarted(self, span, restart: int) -> None:
+        self.stats.search_restarts += 1
+        span.annotate("restart", attempt=restart + 1)
+
+    def _abort(self, span, error: str) -> None:
+        # An escaping exception (e.g. an injected fault) must still end
+        # the span — a leaked span pins its trace ring slot.
+        self._span = NULL_SPAN
+        span.end(error=error)
+
+    def _exhausted(self, span, name: str) -> OffloadError:
+        self._abort(span, "restarts-exhausted")
+        return OffloadError(
+            f"{name} did not complete after {self.max_search_restarts} "
+            f"restarts"
+        )
+
     # -- search ------------------------------------------------------------------
 
     def search(self, query: Rect) -> Generator:
@@ -260,37 +292,20 @@ class OffloadEngine:
         """
         self.stats.offloaded_requests += 1
         span = self._span = self.tracer.span("offload", "search")
-        ended = False
-        error: Optional[str] = None
         try:
-            for _restart in range(self.max_search_restarts):
+            for restart in range(self.max_search_restarts):
                 if self.multi_issue:
                     matches = yield from self._search_multi_issue(query)
                 else:
                     matches = yield from self._search_single_issue(query)
                 if matches is not None:
-                    self.stats.results_received += len(matches)
-                    span.end(restarts=_restart, results=len(matches))
-                    ended = True
+                    self._complete(span, restart, len(matches))
                     return matches
-                # Stale root or persistent torn reads: retraverse.
-                self.stats.search_restarts += 1
-                span.annotate("restart", attempt=_restart + 1)
-            error = "restarts-exhausted"
-            raise OffloadError(
-                f"search did not complete after {self.max_search_restarts} "
-                f"restarts"
-            )
+                self._restarted(span, restart)
         except BaseException as exc:
-            # An escaping exception (e.g. an injected fault) must still
-            # end the span — a leaked span pins its trace ring slot.
-            if error is None:
-                error = type(exc).__name__
+            self._abort(span, type(exc).__name__)
             raise
-        finally:
-            self._span = NULL_SPAN
-            if not ended:
-                span.end(error=error if error is not None else "unknown")
+        raise self._exhausted(span, "search")
 
     def count(self, query: Rect) -> Generator:
         """Aggregate-only offloaded search: traverse, count, ship nothing
@@ -319,32 +334,18 @@ class OffloadEngine:
         if n == 0:
             return []
         span = self._span = self.tracer.span("offload", "search_batch")
-        ended = False
-        error: Optional[str] = None
         try:
-            for _restart in range(self.max_search_restarts):
+            for restart in range(self.max_search_restarts):
                 results = yield from self._batch_attempt(queries)
                 if results is not None:
-                    total = sum(len(r) for r in results)
-                    self.stats.results_received += total
-                    span.end(restarts=_restart, queries=n, results=total)
-                    ended = True
+                    self._complete(span, restart,
+                                   sum(len(r) for r in results), queries=n)
                     return results
-                self.stats.search_restarts += 1
-                span.annotate("restart", attempt=_restart + 1)
-            error = "restarts-exhausted"
-            raise OffloadError(
-                f"search_batch did not complete after "
-                f"{self.max_search_restarts} restarts"
-            )
+                self._restarted(span, restart)
         except BaseException as exc:
-            if error is None:
-                error = type(exc).__name__
+            self._abort(span, type(exc).__name__)
             raise
-        finally:
-            self._span = NULL_SPAN
-            if not ended:
-                span.end(error=error if error is not None else "unknown")
+        raise self._exhausted(span, "search_batch")
 
     def _batch_attempt(self, queries: List[Rect]) -> Generator:
         """One batched traversal attempt; None => restart the batch.
@@ -394,85 +395,99 @@ class OffloadEngine:
     def _fetch_round(self, pairs: List[Tuple[int, int]]) -> Generator:
         """Fetch one frontier wave; list of views, or None on any failure.
 
-        Cache hits are served locally, chunks already in flight join the
-        leader single-flight, and the remaining misses are posted
-        concurrently — through one doorbell when ≥2 and the single-
-        flight table exists (cache attached), else as pipelined
-        individual reads (multi-issue) or sequentially (single-issue).
-        Chunk ids within a wave are distinct by construction: every tree
-        node hangs off exactly one parent entry, and merged interest
-        sets mean each parent was expanded once.
+        Multi-issue plans the wave with :meth:`_issue_round`;
+        single-issue fetches it sequentially.  Chunk ids within a wave
+        are distinct by construction: every tree node hangs off exactly
+        one parent entry, and merged interest sets mean each parent was
+        expanded once.
         """
         views: List[Optional[NodeView]] = [None] * len(pairs)
-        span = self._span
-        cache = self.cache
         if not self.multi_issue:
-            for i, (chunk_id, level) in enumerate(pairs):
-                view: Optional[NodeView] = None
-                if cache is not None and level > 0:
-                    view = cache.lookup(chunk_id)
-                    if view is not None:
-                        span.annotate("cache_hit", chunk=chunk_id,
-                                      level=level)
+            for slot, (chunk_id, level) in enumerate(pairs):
+                view = self._cached(chunk_id, level)
                 if view is None:
                     view = yield from self._read_valid(chunk_id, level)
                 if view is None:
                     return None
-                views[i] = view
+                views[slot] = view
             return views
-
         arrived: Store = Store(self.sim)
-        inflight = 0
-
-        def fetch(i: int, chunk_id: int, level: int,
-                  first_read=None) -> Generator:
-            view = yield from self._read_valid(chunk_id, level, first_read)
-            arrived.put((i, view))
-
-        inflight_reads = self._inflight_reads
-        to_post: List[Tuple[int, int, int]] = []
-        for i, (chunk_id, level) in enumerate(pairs):
-            view = None
-            if cache is not None and level > 0:
-                view = cache.lookup(chunk_id)
-            if view is not None:
-                span.annotate("cache_hit", chunk=chunk_id, level=level)
-                views[i] = view
-            elif inflight_reads is not None and chunk_id in inflight_reads:
-                # Single-flight: _read_valid's fetch joins the leader.
-                inflight += 1
-                self.sim.process(fetch(i, chunk_id, level),
-                                 name="batch-read")
-            else:
-                to_post.append((i, chunk_id, level))
-        if len(to_post) >= 2 and inflight_reads is not None:
-            events = self.qp.post_read_batch([
-                (self.desc.tree_rkey, self._chunk_address(chunk_id),
-                 self.desc.chunk_bytes)
-                for _i, chunk_id, _level in to_post
-            ])
-            for (i, chunk_id, level), event in zip(to_post, events):
-                inflight_reads[chunk_id] = []
-                self.chunks_fetched += 1
-                inflight += 1
-                self.sim.process(
-                    fetch(i, chunk_id, level, first_read=event),
-                    name="batch-read",
-                )
-        else:
-            for i, chunk_id, level in to_post:
-                inflight += 1
-                self.sim.process(fetch(i, chunk_id, level),
-                                 name="batch-read")
+        hits, reads = self._issue_round(pairs, arrived)
+        for slot, view in hits:
+            views[slot] = view
         failed = False
-        while inflight:
-            i, view = yield arrived.get()
-            inflight -= 1
+        for _ in range(reads):
+            slot, view = yield arrived.get()
             if view is None:
                 failed = True
             else:
-                views[i] = view
+                views[slot] = view
         return None if failed else views
+
+    # -- node fetch planning -------------------------------------------------
+
+    def _cached(self, chunk_id: int, level: int) -> Optional[NodeView]:
+        """A cache hit for an internal node, traced; None on a miss.
+
+        Leaves are never cached; without a cache every fetch misses.
+        """
+        if self.cache is None or level == 0:
+            return None
+        view = self.cache.lookup(chunk_id)
+        if view is not None:
+            self._span.annotate("cache_hit", chunk=chunk_id, level=level)
+        return view
+
+    def _fetch_into(self, arrived: Store, slot, chunk_id: int, level: int,
+                    first_read=None) -> Generator:
+        """Process body: one validated read, delivered as (slot, view)."""
+        view = yield from self._read_valid(chunk_id, level, first_read)
+        arrived.put((slot, view))
+
+    def _issue_round(self, pairs: List[Tuple[int, int]],
+                     arrived: Store) -> Tuple[List, int]:
+        """Issue one multi-issue round of ``(chunk_id, level)`` pairs.
+
+        Cache hits are served locally; a chunk already in flight joins
+        the leader's read (single-flight, see :meth:`_fetch_chunk`); the
+        remaining misses are posted concurrently — through one doorbell
+        when ≥2 and the single-flight table exists (cache attached),
+        else as pipelined individual reads.  Returns the hits as
+        ``(slot, view)`` pairs, ``slot`` being the pair's index, and the
+        number of reads whose ``(slot, view)`` will arrive on
+        ``arrived`` (``view`` None on a failed read).
+        """
+        inflight_reads = self._inflight_reads
+        spawn = self.sim.process
+        hits: List[Tuple[int, NodeView]] = []
+        to_post: List[Tuple[int, int, int]] = []
+        joined = 0
+        for slot, (chunk_id, level) in enumerate(pairs):
+            view = self._cached(chunk_id, level)
+            if view is not None:
+                hits.append((slot, view))
+            elif inflight_reads is not None and chunk_id in inflight_reads:
+                joined += 1
+                spawn(self._fetch_into(arrived, slot, chunk_id, level),
+                      name="offload-read")
+            else:
+                to_post.append((slot, chunk_id, level))
+        first_reads: Sequence = (None,) * len(to_post)
+        if len(to_post) >= 2 and inflight_reads is not None:
+            first_reads = self.qp.post_read_batch([
+                (self.desc.tree_rkey, self._chunk_address(chunk_id),
+                 self.desc.chunk_bytes)
+                for _slot, chunk_id, _level in to_post
+            ])
+            for _slot, chunk_id, _level in to_post:
+                inflight_reads[chunk_id] = []
+            self.chunks_fetched += len(to_post)
+        for (slot, chunk_id, level), first_read in zip(to_post, first_reads):
+            spawn(self._fetch_into(arrived, slot, chunk_id, level, first_read),
+                  name="offload-read")
+        return hits, joined + len(to_post)
+
+    # -- kNN ---------------------------------------------------------------------
 
     def nearest(self, x: float, y: float, k: int = 1) -> Generator:
         """Offloaded kNN: best-first branch-and-bound over one-sided reads.
@@ -483,71 +498,52 @@ class OffloadEngine:
         which the adaptive client will discover via its latencies.
         Traced and counted with full :meth:`search` parity.
         """
-        import heapq
-        import itertools as _it
-
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.stats.offloaded_requests += 1
         span = self._span = self.tracer.span("offload", "nearest")
-        ended = False
-        error: Optional[str] = None
         try:
-            for _restart in range(self.max_search_restarts):
-                meta = yield from self._read_meta()
-                self._apply_meta(meta)
-                self._note_meta_hwm(meta)
-                counter = _it.count()
-                heap = [(0.0, next(counter), "chunk",
-                         (self._cached_root, self._cached_height - 1))]
-                matches: List[Tuple[Rect, int]] = []
-                failed = False
-                while heap and len(matches) < k:
-                    _dist, _seq, kind, payload = heapq.heappop(heap)
-                    if kind == "entry":
-                        matches.append(payload)
-                        continue
-                    chunk_id, level = payload
-                    view: Optional[NodeView] = None
-                    if self.cache is not None and level > 0:
-                        view = self.cache.lookup(chunk_id)
-                        if view is not None:
-                            span.annotate("cache_hit", chunk=chunk_id,
-                                          level=level)
-                    if view is None:
-                        view = yield from self._read_valid(chunk_id, level)
-                    if view is None:
-                        failed = True
-                        break
-                    yield self.sim.timeout(self._check_cost())
-                    dists = _batch.view_min_dist2(view, x, y)
-                    for (rect, ref), dist in zip(view.entries, dists):
-                        if view.is_leaf:
-                            heapq.heappush(heap, (dist, next(counter),
-                                                  "entry", (rect, ref)))
-                        else:
-                            heapq.heappush(heap, (dist, next(counter),
-                                                  "chunk", (ref, level - 1)))
-                if not failed:
-                    self.stats.results_received += len(matches)
-                    span.end(restarts=_restart, results=len(matches))
-                    ended = True
+            for restart in range(self.max_search_restarts):
+                matches = yield from self._nearest_attempt(x, y, k)
+                if matches is not None:
+                    self._complete(span, restart, len(matches))
                     return matches
-                self.stats.search_restarts += 1
-                span.annotate("restart", attempt=_restart + 1)
-            error = "restarts-exhausted"
-            raise OffloadError(
-                f"nearest() did not complete after "
-                f"{self.max_search_restarts} restarts"
-            )
+                self._restarted(span, restart)
         except BaseException as exc:
-            if error is None:
-                error = type(exc).__name__
+            self._abort(span, type(exc).__name__)
             raise
-        finally:
-            self._span = NULL_SPAN
-            if not ended:
-                span.end(error=error if error is not None else "unknown")
+        raise self._exhausted(span, "nearest")
+
+    def _nearest_attempt(self, x: float, y: float, k: int) -> Generator:
+        """One best-first traversal; None => restart."""
+        meta = yield from self._read_meta()
+        self._apply_meta(meta)
+        self._note_meta_hwm(meta)
+        counter = itertools.count()
+        heap = [(0.0, next(counter), "chunk",
+                 (self._cached_root, self._cached_height - 1))]
+        matches: List[Tuple[Rect, int]] = []
+        while heap and len(matches) < k:
+            _dist, _seq, kind, payload = heapq.heappop(heap)
+            if kind == "entry":
+                matches.append(payload)
+                continue
+            chunk_id, level = payload
+            view = self._cached(chunk_id, level)
+            if view is None:
+                view = yield from self._read_valid(chunk_id, level)
+            if view is None:
+                return None
+            yield self.sim.timeout(self._check_cost())
+            dists = _batch.view_min_dist2(view, x, y)
+            for (rect, ref), dist in zip(view.entries, dists):
+                if view.is_leaf:
+                    heapq.heappush(heap, (dist, next(counter),
+                                          "entry", (rect, ref)))
+                else:
+                    heapq.heappush(heap, (dist, next(counter),
+                                          "chunk", (ref, level - 1)))
+        return matches
 
     def _check_cost(self) -> float:
         return self.costs.client_node_check
@@ -561,11 +557,9 @@ class OffloadEngine:
         stack = [(self._cached_root, self._cached_height - 1)]
         while stack:
             chunk_id, level = stack.pop()
-            view: Optional[NodeView] = None
-            if self.cache is not None and level > 0:
-                # The sequential meta read above already synchronized the
-                # high-water mark, so a hit is exact as of search start.
-                view = self.cache.lookup(chunk_id)
+            # The sequential meta read above already synchronized the
+            # high-water mark, so a cache hit is exact as of search start.
+            view = self._cached(chunk_id, level)
             if view is None:
                 view = yield from self._read_valid(chunk_id, level)
             if view is None:
@@ -591,11 +585,9 @@ class OffloadEngine:
         With a cache attached the same meta read also validates every
         cache hit: if it reveals the mutation mark advanced after hits
         were already served (they described a pre-mutation tree), the
-        attempt is abandoned exactly like a stale root.  Distinct missing
-        chunks of one expansion round are posted through a single
-        doorbell (``post_read_batch``).
+        attempt is abandoned exactly like a stale root.  Each expansion
+        round is planned by :meth:`_issue_round`.
         """
-        cache = self.cache
         cold_start = self._cached_root is None
         if cold_start:
             meta = yield from self._read_meta()
@@ -608,65 +600,27 @@ class OffloadEngine:
         failed = False
         cache_hits_used = 0
 
-        def fetch(chunk_id: int, level: int, first_read=None) -> Generator:
-            view = yield from self._read_valid(chunk_id, level, first_read)
-            arrived.put(("node", view))
-
         def fetch_meta() -> Generator:
             meta = yield from self._read_meta()
-            arrived.put(("meta", meta))
-
-        def issue(chunk_id: int, level: int) -> None:
-            nonlocal inflight
-            inflight += 1
-            self.sim.process(fetch(chunk_id, level), name="multi-issue-read")
+            arrived.put((None, meta))  # slot None marks the meta read
 
         def issue_all(pairs: List[Tuple[int, int]]) -> None:
-            """Expand one round: cache hits served locally, in-flight
-            chunks coalesced, the remaining misses doorbell-batched."""
             nonlocal inflight, cache_hits_used
-            inflight_reads = self._inflight_reads
-            if cache is None or inflight_reads is None:
-                for chunk_id, level in pairs:
-                    issue(chunk_id, level)
-                return
-            to_post: List[Tuple[int, int]] = []
-            for chunk_id, level in pairs:
-                view = cache.lookup(chunk_id) if level > 0 else None
-                if view is not None:
-                    cache_hits_used += 1
-                    inflight += 1
-                    arrived.put(("node", view))
-                elif chunk_id in inflight_reads:
-                    # Single-flight: _fetch_chunk joins the leader.
-                    issue(chunk_id, level)
-                else:
-                    to_post.append((chunk_id, level))
-            if not to_post:
-                return
-            if len(to_post) == 1:
-                issue(*to_post[0])
-                return
-            events = self.qp.post_read_batch([
-                (self.desc.tree_rkey, self._chunk_address(chunk_id),
-                 self.desc.chunk_bytes)
-                for chunk_id, _level in to_post
-            ])
-            for (chunk_id, level), event in zip(to_post, events):
-                inflight_reads[chunk_id] = []
-                self.chunks_fetched += 1
-                inflight += 1
-                self.sim.process(fetch(chunk_id, level, first_read=event),
-                                 name="multi-issue-read")
+            hits, reads = self._issue_round(pairs, arrived)
+            for hit in hits:
+                # Hits queue behind reads that already arrived.
+                arrived.put(hit)
+            cache_hits_used += len(hits)
+            inflight += len(hits) + reads
 
         if not cold_start:
             inflight += 1
             self.sim.process(fetch_meta(), name="multi-issue-meta")
         issue_all([(self._cached_root, self._cached_height - 1)])
         while inflight:
-            kind, payload = yield arrived.get()
+            slot, payload = yield arrived.get()
             inflight -= 1
-            if kind == "meta":
+            if slot is None:
                 stale_root = self._apply_meta(payload)
                 hwm_advanced = self._note_meta_hwm(payload)
                 if stale_root:

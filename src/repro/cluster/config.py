@@ -26,8 +26,6 @@ class RebalanceConfig:
     default of ``rebalance=None`` (no controller, static plane).
     """
 
-    #: Master switch; a config carrying a disabled block behaves as None.
-    enabled: bool = True
     #: Controller cycle period (simulated seconds between load reads).
     interval: float = 0.05e-3
     #: Simulated delay before the first cycle (let load windows fill).
@@ -45,9 +43,6 @@ class RebalanceConfig:
     #: epoch-aware re-scatter is the safety net if a straggler outlives
     #: even this window.)
     drain_s: float = 0.3e-3
-    #: Opportunistic merging of adjacent same-owner tiles (at most one
-    #: merge per controller cycle).
-    merge_enabled: bool = True
 
     def __post_init__(self):
         if self.interval <= 0:
@@ -110,7 +105,7 @@ class ExperimentConfig:
     #: routes the run through ``repro.shard.deploy``.
     n_shards: Optional[int] = None
 
-    #: Elastic shard plane: when set (and enabled), the sharded runner
+    #: Elastic shard plane: when set, the sharded runner
     #: shares one live epoch-versioned shard map across all clients,
     #: routes reads epoch-aware, and starts a
     #: :class:`~repro.shard.rebalance.RebalanceController` driving tile
@@ -135,7 +130,8 @@ class ExperimentConfig:
     #: no hooks attached).
     fault_plan: Optional[FaultPlan] = None
     #: Per-request deadline + retry budget for fast-messaging clients;
-    #: None keeps the seed's block-forever behaviour.
+    #: None makes one attempt per request, blocking on ring space and
+    #: waiting for the response with no deadline.
     retry: Optional[RetryPolicy] = None
     #: Offload circuit breaker for adaptive clients; None propagates
     #: OffloadError as before.
@@ -148,7 +144,7 @@ class ExperimentConfig:
     max_queue_depth: Optional[int] = None
 
     #: Client-side cache of internal node views for the offload path
-    #: (RDMAbox-style; see repro.client.node_cache).  None/disabled keeps
+    #: (RDMAbox-style; see repro.client.node_cache).  None keeps
     #: the engine byte-identical to the cache-less seed — the golden
     #: fingerprints are pinned on that default.
     node_cache: Optional[NodeCacheConfig] = None

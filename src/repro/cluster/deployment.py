@@ -206,7 +206,7 @@ class Deployment:
                 for k, slice_items in enumerate(partition.assignments)
             ]
             rb = config.rebalance
-            if rb is not None and rb.enabled:
+            if rb is not None:
                 # Elastic plane: every client routes through ONE shared
                 # epoch-versioned map the rebalancer revises.
                 self.live_map = partition.shard_map.copy()

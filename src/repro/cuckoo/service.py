@@ -249,7 +249,10 @@ class CuckooOffloadEngine:
             if not view.torn:
                 return view
             self.stats.torn_retries += 1
-            yield self.sim.timeout(self.retry_backoff * (attempt + 1))
+            if attempt < self.max_read_retries - 1:
+                # No backoff after the final attempt: the caller restarts
+                # (or fails) at once.
+                yield self.sim.timeout(self.retry_backoff * (attempt + 1))
         return None
 
     def get(self, key: int) -> Generator:

@@ -93,7 +93,7 @@ class SessionFactory:
             tracer=self.tracer,
         )
         cache_cfg = getattr(config, "node_cache", None)
-        if cache_cfg is not None and cache_cfg.enabled:
+        if cache_cfg is not None:
             cache = NodeCache(cache_cfg)
             engine.attach_cache(cache)
             # Heartbeat-piggybacked invalidation hints land in this

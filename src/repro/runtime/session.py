@@ -51,7 +51,7 @@ class PolicySession:
         #: recorded and the request falls over to fast messaging instead
         #: of propagating; a tripped breaker short-circuits offloading
         #: until a recovery probe succeeds.  When None, errors propagate
-        #: (the seed behaviour).
+        #: (after ending the request's span with ``error``).
         self.breaker = breaker
 
     # -- hooks (overridden by structure-specific subclasses) ----------------
@@ -77,78 +77,103 @@ class PolicySession:
         a path."""
         return self.policy.decide_offload()
 
+    # -- the shared decision and failover core ------------------------------
+
+    def _decide_group(self, requests, span) -> bool:
+        """Pick the path for ``requests``; True means offload.
+
+        One decision covers the whole group (a batched client commits the
+        group to a path up front, a single request is a group of one);
+        the ``note_*`` hook still fires once per request so the policy's
+        request-level accounting stays aligned with its counters.  An
+        open breaker demotes an offload decision to fast messaging.
+        """
+        policy = self.policy
+        if not self._decide():
+            for _request in requests:
+                policy.note_fm()
+            span.annotate("decide", path=PATH_FM, **policy.fm_annotations())
+            return False
+        breaker = self.breaker
+        if breaker is not None and not breaker.allow():
+            # Offload path tripped: route through the server until a
+            # recovery probe succeeds.
+            for _request in requests:
+                policy.note_fm(forced=True)
+            span.annotate("decide", path=PATH_FM, reason="breaker-open")
+            return False
+        for _request in requests:
+            policy.note_offload()
+        span.annotate("decide", path=PATH_OFFLOAD,
+                      **policy.offload_annotations())
+        return True
+
+    def _fail_over(self, span) -> bool:
+        """Handle an ``OffloadError``; True to fail over to fast messaging.
+
+        Without a breaker the error propagates: the span ends with
+        ``error`` and the caller re-raises.  With one, the torn-read or
+        restart storm is recorded and the server-side path serves the
+        same requests under locks.
+        """
+        breaker = self.breaker
+        if breaker is None:
+            span.end(error="offload-error")
+            return False
+        breaker.record_failure()
+        self.policy.note_failover()
+        span.annotate("failover", reason="offload-error",
+                      breaker=breaker.state)
+        return True
+
+    def _observe_offload(self, requests, start: float,
+                         failed_over: bool = False) -> None:
+        """Report an offload decision's outcome, once per request."""
+        elapsed = self.sim.now - start
+        if not failed_over and self.breaker is not None:
+            self.breaker.record_success()
+        for request in requests:
+            self.policy.observe(request, PATH_OFFLOAD, elapsed,
+                                failed_over=failed_over)
+
     # -- request execution -------------------------------------------------
 
     def execute(self, request) -> Generator:
         """Run one request, choosing the access path per the policy."""
         from ..client.offload_client import OffloadError
-        policy = self.policy
-        span = self.tracer.span(policy.trace_component, request.op)
+        span = self.tracer.span(self.policy.trace_component, request.op)
         if not self._is_offloadable(request):
             # Writes always go to the server through the ring buffer.
             span.annotate("decide", path=PATH_FM, reason="write")
             result = yield from self.fm.execute(request)
             span.end(path=PATH_FM)
             return result
-        if self._decide():
-            breaker = self.breaker
-            if breaker is not None and not breaker.allow():
-                # Offload path tripped: route through the server until a
-                # recovery probe succeeds.
-                policy.note_fm(forced=True)
-                span.annotate("decide", path=PATH_FM,
-                              reason="breaker-open")
-                start = self.sim.now
-                result = yield from self.fm.execute(request)
-                policy.observe(request, PATH_FM, self.sim.now - start)
-                span.end(path=PATH_FM)
-                return result
-            policy.note_offload()
-            span.annotate("decide", path=PATH_OFFLOAD,
-                          **policy.offload_annotations())
-            start = self.sim.now
-            if breaker is None:
-                # Seed behaviour: offload failures propagate.
-                result = yield from self._offload(request)
-                policy.observe(request, PATH_OFFLOAD, self.sim.now - start)
-                span.end(path=PATH_OFFLOAD)
-                return result
-            try:
-                result = yield from self._offload(request)
-            except OffloadError:
-                # Torn-read/restart storm: record it and fail over — the
-                # server-side path serves the same request under locks.
-                breaker.record_failure()
-                policy.note_failover()
-                span.annotate("failover", reason="offload-error",
-                              breaker=breaker.state)
-                result = yield from self.fm.execute(request)
-                policy.observe(request, PATH_OFFLOAD,
-                               self.sim.now - start, failed_over=True)
-                span.end(path="fm-failover")
-                return result
-            breaker.record_success()
-            policy.observe(request, PATH_OFFLOAD, self.sim.now - start)
-            span.end(path=PATH_OFFLOAD)
-        else:
-            policy.note_fm()
-            span.annotate("decide", path=PATH_FM,
-                          **policy.fm_annotations())
-            start = self.sim.now
+        group = (request,)
+        start = self.sim.now
+        if not self._decide_group(group, span):
             result = yield from self.fm.execute(request)
-            policy.observe(request, PATH_FM, self.sim.now - start)
+            self.policy.observe(request, PATH_FM, self.sim.now - start)
             span.end(path=PATH_FM)
+            return result
+        try:
+            result = yield from self._offload(request)
+        except OffloadError:
+            if not self._fail_over(span):
+                raise
+            result = yield from self.fm.execute(request)
+            self._observe_offload(group, start, failed_over=True)
+            span.end(path="fm-failover")
+            return result
+        self._observe_offload(group, start)
+        span.end(path=PATH_OFFLOAD)
         return result
 
     def execute_search_batch(self, requests) -> Generator:
         """Run a group of search requests as one batched offload.
 
-        One policy decision covers the whole group (a batched client
-        commits the group to a path up front); the ``note_*`` /
-        ``observe`` hooks still fire once per request so the policy's
-        request-level accounting stays aligned with its counters — each
-        request observes the batch wall time, which is exactly how long
-        a synchronous batched client waited for it.  Falls back to
+        The group shares :meth:`execute`'s decision and failover core;
+        each request observes the batch wall time, which is exactly how
+        long a synchronous batched client waited for it.  Falls back to
         per-request :meth:`execute` when the group is trivial or the
         engine has no ``search_batch`` (TCP / fast-messaging-only
         schemes, the sharded router).
@@ -161,67 +186,31 @@ class PolicySession:
                 result = yield from self.execute(request)
                 results.append(result)
             return results
-        policy = self.policy
-        span = self.tracer.span(policy.trace_component, "search-batch")
-        rects = [request.rect for request in requests]
-
-        def fm_all() -> Generator:
-            out = []
+        span = self.tracer.span(self.policy.trace_component, "search-batch")
+        queries = len(requests)
+        if not self._decide_group(requests, span):
+            results = []
             for request in requests:
                 start = self.sim.now
                 result = yield from self.fm.execute(request)
-                policy.observe(request, PATH_FM, self.sim.now - start)
-                out.append(result)
-            return out
-
-        if not self._decide():
-            for request in requests:
-                policy.note_fm()
-            span.annotate("decide", path=PATH_FM,
-                          **policy.fm_annotations())
-            results = yield from fm_all()
-            span.end(path=PATH_FM, queries=len(requests))
+                self.policy.observe(request, PATH_FM, self.sim.now - start)
+                results.append(result)
+            span.end(path=PATH_FM, queries=queries)
             return results
-        breaker = self.breaker
-        if breaker is not None and not breaker.allow():
-            for request in requests:
-                policy.note_fm(forced=True)
-            span.annotate("decide", path=PATH_FM, reason="breaker-open")
-            results = yield from fm_all()
-            span.end(path=PATH_FM, queries=len(requests))
-            return results
-        for request in requests:
-            policy.note_offload()
-        span.annotate("decide", path=PATH_OFFLOAD,
-                      **policy.offload_annotations())
         start = self.sim.now
-        if breaker is None:
-            results = yield from engine_batch(rects)
-            elapsed = self.sim.now - start
-            for request in requests:
-                policy.observe(request, PATH_OFFLOAD, elapsed)
-            span.end(path=PATH_OFFLOAD, queries=len(requests))
-            return results
         try:
-            results = yield from engine_batch(rects)
+            results = yield from engine_batch(
+                [request.rect for request in requests])
         except OffloadError:
-            breaker.record_failure()
-            policy.note_failover()
-            span.annotate("failover", reason="offload-error",
-                          breaker=breaker.state)
+            if not self._fail_over(span):
+                raise
             results = []
             for request in requests:
                 result = yield from self.fm.execute(request)
                 results.append(result)
-            elapsed = self.sim.now - start
-            for request in requests:
-                policy.observe(request, PATH_OFFLOAD, elapsed,
-                               failed_over=True)
-            span.end(path="fm-failover", queries=len(requests))
+            self._observe_offload(requests, start, failed_over=True)
+            span.end(path="fm-failover", queries=queries)
             return results
-        breaker.record_success()
-        elapsed = self.sim.now - start
-        for request in requests:
-            policy.observe(request, PATH_OFFLOAD, elapsed)
-        span.end(path=PATH_OFFLOAD, queries=len(requests))
+        self._observe_offload(requests, start)
+        span.end(path=PATH_OFFLOAD, queries=queries)
         return results

@@ -87,7 +87,7 @@ class ServerStack:
                 # fingerprints are pinned on it).
                 mut_seq_fn = (
                     (lambda: self.server.tree.mut_hwm)
-                    if cache_cfg is not None and cache_cfg.enabled
+                    if cache_cfg is not None
                     else None
                 )
                 self.heartbeats = HeartbeatService(

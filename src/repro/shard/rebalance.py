@@ -428,8 +428,6 @@ class RebalanceController:
     def _maybe_merge(self) -> bool:
         """Merge one pair of adjacent same-owner tiles, if any (keeps the
         routing table from growing monotonically as load moves around)."""
-        if not self.config.merge_enabled:
-            return False
         tiles = self.shard_map.tiles
         for i in range(len(tiles)):
             for j in range(i + 1, len(tiles)):

@@ -184,12 +184,10 @@ class ScatterGatherRouter:
         self.record = record
         self.log: List[Tuple[int, Request, PartialResult, float]] = []
         self._index = 0
-        #: Routing across an epoch cut: when the shared live map's epoch
-        #: bumps between a read's scatter and its gather, re-consult the
-        #: map and query any shard that newly covers the region (the
-        #: dedup merge keeps the union exactly-once).  Off by default —
-        #: the static plane never bumps, and the fingerprint-pinned
-        #: non-rebalance paths stay byte-identical.
+        #: Routing on a live, rebalancing map: scatter to tile-granular
+        #: read targets and count by deduplicated search (see
+        #: :meth:`_execute_read`).  Off for the static plane, whose
+        #: per-shard contents are disjoint and whose epoch never moves.
         self.epoch_aware = epoch_aware
         #: Bound on re-scatter rounds per read (a runaway revision storm
         #: degrades to a best-effort answer instead of livelocking).
@@ -292,55 +290,22 @@ class ScatterGatherRouter:
         return OK, reply
 
     def _execute_read(self, request: Request) -> Generator:
-        if self.epoch_aware:
-            return (yield from self._execute_read_epoch(request))
-        targets = self._read_targets(request)
-        pruned = self.shard_map.n_shards - len(targets)
-        if pruned:
-            self.router_stats.shards_pruned += pruned
-        if not targets:
-            # Nothing can match (all shard MBRs miss the query).
-            empty = 0 if request.op == OP_COUNT else []
-            return PartialResult(op=request.op, results=empty, statuses={})
-
-        statuses: Dict[int, str] = {}
-        replies: List[Tuple[int, object]] = []
-        skipped: List[int] = []
-        procs = []
-        for shard_id in targets:
-            breaker = (self.breakers[shard_id]
-                       if self.breakers is not None else None)
-            if breaker is not None and not breaker.allow():
-                skipped.append(shard_id)
-                continue
-            procs.append(self.sim.process(
-                self._gather(shard_id, request, statuses, replies),
-                name=f"scatter-s{shard_id}",
-            ))
-        for shard_id in skipped:
-            statuses[shard_id] = SKIPPED
-            self.router_stats.shard_skips += 1
-        if procs:
-            # Each sub-query is bounded by its session's retry deadline,
-            # so the barrier always resolves; failures land in statuses,
-            # never as exceptions (the gather wrapper catches them).
-            yield all_of(self.sim, procs)
-        return self._merge(request, statuses, replies)
-
-    def _execute_read_epoch(self, request: Request) -> Generator:
-        """Scatter-gather across possible epoch cuts (rebalancing on).
+        """Scatter-gather, re-scattering across epoch cuts.
 
         Capture the map epoch at scatter; after the gather barrier, if
         the epoch moved, re-read the map and query any shard that now
         covers the region and was not queried yet (a migration's
         cut-over hands a tile — and the moved items' MBR cover — to a
         new owner mid-flight).  The dedup merge keeps the union of all
-        rounds exactly-once.  COUNT runs its sub-queries as searches:
-        during a migration's copy window an item transiently lives in
-        two trees, so only an id-level dedup count is exact.
+        rounds exactly-once.  The static plane never bumps its epoch, so
+        there the loop runs one round.  On an epoch-aware router COUNT
+        runs its sub-queries as searches: during a migration's copy
+        window an item transiently lives in two trees, so only an
+        id-level dedup count is exact.
         """
+        count_by_search = self.epoch_aware and request.op == OP_COUNT
         sub_request = (Request(OP_SEARCH, request.rect)
-                       if request.op == OP_COUNT else request)
+                       if count_by_search else request)
         statuses: Dict[int, str] = {}
         replies: List[Tuple[int, object]] = []
         queried: set = set()
@@ -354,10 +319,10 @@ class ScatterGatherRouter:
             if rounds:
                 self.router_stats.epoch_rescatters += 1
                 self.router_stats.rescattered_subqueries += len(targets)
+            queried.update(targets)
             procs = []
             skipped: List[int] = []
             for shard_id in targets:
-                queried.add(shard_id)
                 breaker = (self.breakers[shard_id]
                            if self.breakers is not None else None)
                 if breaker is not None and not breaker.allow():
@@ -371,17 +336,22 @@ class ScatterGatherRouter:
                 statuses[shard_id] = SKIPPED
                 self.router_stats.shard_skips += 1
             if procs:
+                # Each sub-query is bounded by its session's retry
+                # deadline, so the barrier always resolves; failures land
+                # in statuses, never as exceptions (the gather wrapper
+                # catches them).
                 yield all_of(self.sim, procs)
             rounds += 1
             if self.shard_map.epoch == epoch:
                 break
         pruned = self.shard_map.n_shards - len(queried)
-        if pruned > 0:
+        if pruned:
             self.router_stats.shards_pruned += pruned
         if not queried:
+            # Nothing can match (all shard MBRs miss the query).
             empty = 0 if request.op == OP_COUNT else []
             return PartialResult(op=request.op, results=empty, statuses={})
-        if request.op == OP_COUNT:
+        if count_by_search:
             merged, duplicates = merge_search_replies(replies)
             return PartialResult(
                 op=request.op, results=len(merged), statuses=statuses,

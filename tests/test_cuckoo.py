@@ -1,6 +1,7 @@
 """Cuckoo hash table correctness + its Catfish framework integration."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,3 +293,34 @@ class TestService:
         sim.run()
         assert p.value > 0
         assert service.failed_puts == p.value
+
+
+class _TearingQp:
+    """A queue pair whose every one-sided read returns a torn snapshot."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.reads = 0
+
+    def post_read(self, rkey, address, length):
+        self.reads += 1
+        return self.sim.timeout(0.0, SimpleNamespace(torn=True))
+
+
+def test_bucket_read_gives_up_without_trailing_backoff():
+    # n torn reads are separated by n-1 backoffs; the engine gives up
+    # right after the last read instead of sleeping once more.
+    sim, _sh, _service, _fm, engine, stats, _keys = make_cuckoo()
+    engine.qp = _TearingQp(sim)
+    n = engine.max_read_retries
+
+    def reader():
+        view = yield from engine._read_bucket(0)
+        return view
+
+    p = sim.process(reader())
+    sim.run()
+    assert p.value is None
+    assert engine.qp.reads == n
+    assert stats.torn_retries == n
+    assert sim.now == pytest.approx(engine.retry_backoff * sum(range(1, n)))

@@ -56,7 +56,6 @@ def make_offload(n_items=1500, max_entries=16, cache=None, multi_issue=True,
 def test_cache_config_validation():
     with pytest.raises(ValueError):
         NodeCacheConfig(max_nodes=0)
-    assert NodeCacheConfig().enabled
 
 
 def test_cache_refuses_stores_before_first_hwm():
@@ -460,6 +459,34 @@ def test_nearest_span_parity_with_search():
     ends = [e for events in spans.values() for e in events
             if e.name == "end"]
     assert ends and all("error" not in (e.attrs or {}) for e in ends)
+
+
+@pytest.mark.parametrize("path", [
+    "single-issue", "multi-issue", "nearest", "batch",
+])
+def test_every_cache_hit_is_traced(path):
+    sim, server, engine, stats, _qp = make_offload(
+        cache=NodeCache(), multi_issue=(path != "single-issue"),
+    )
+    tracer = Tracer(sim)
+    engine.tracer = tracer
+    queries = [Rect(0.2, 0.2, 0.3, 0.3), Rect(0.6, 0.1, 0.7, 0.25)]
+
+    def client():
+        for _ in range(3):
+            if path == "nearest":
+                yield from engine.nearest(0.5, 0.5, k=4)
+            elif path == "batch":
+                yield from engine.search_batch(queries)
+            else:
+                for query in queries:
+                    yield from engine.search(query)
+
+    sim.process(client())
+    sim.run()
+    traced = [e for e in tracer.events if e.name == "cache_hit"]
+    assert int(engine.cache.hits) > 0
+    assert len(traced) == int(engine.cache.hits)
 
 
 # -- chaos: exactness under a write storm ------------------------------------

@@ -22,6 +22,7 @@ from repro.hw import Host
 from repro.msg import SearchRequest, message_size
 from repro.msg.ringbuffer import RingBuffer, RingBufferFullError
 from repro.net import IB_100G, Network
+from repro.obs.trace import Tracer
 from repro.rtree import Rect
 from repro.runtime import Algorithm1Policy, PolicySession
 from repro.server import EVENT, FastMessagingServer, RTreeServer
@@ -332,6 +333,14 @@ class _FlakyCatfish(PolicySession):
         return result
 
 
+class _StormEngine:
+    """An offload engine whose batched traversal always fails."""
+
+    def search_batch(self, rects):
+        raise OffloadError("injected storm")
+        yield  # pragma: no cover - makes this a generator
+
+
 def _adaptive_stack(fail_until, breaker_params):
     sim, server, fm_server, conn, fm, stats = _stack()
     engine = OffloadEngine(sim, conn.client_end,
@@ -360,6 +369,30 @@ class TestOffloadBreaker:
         proc = sim.process(client())
         with pytest.raises(OffloadError):
             sim.run_until_triggered(proc, limit=1.0)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_propagating_error_ends_the_span(self, batched):
+        # Without a breaker the OffloadError propagates, but the request's
+        # span must still end (with ``error``) instead of leaking open.
+        sim, session, _breaker, _stats = _adaptive_stack(
+            fail_until=1.0, breaker_params=None,
+        )
+        session.tracer = Tracer(sim)
+        session.engine = _StormEngine()
+        requests = [Request(OP_SEARCH, Rect(0, 0, 1, 1)) for _ in range(2)]
+
+        def client():
+            if batched:
+                yield from session.execute_search_batch(requests)
+            else:
+                yield from session.execute(requests[0])
+
+        proc = sim.process(client())
+        with pytest.raises(OffloadError):
+            sim.run_until_triggered(proc, limit=1.0)
+        events = session.tracer.events
+        assert [event.name for event in events] == ["begin", "decide", "end"]
+        assert events[-1].attrs["error"] == "offload-error"
 
     def test_storm_trips_breaker_and_fails_over(self):
         params = BreakerParams(failure_threshold=3, cooldown_s=50e-6,

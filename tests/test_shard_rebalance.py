@@ -158,12 +158,6 @@ class TestEndToEnd:
         assert "rebalance_splits" not in result.extra
         assert runner.shard_occupancy() == runner.initial_occupancy()
 
-    def test_disabled_config_behaves_as_none(self):
-        off = RebalanceConfig(enabled=False)
-        runner = ShardedExperimentRunner(skewed_config(rebalance=off))
-        runner.run()
-        assert runner.rebalancer is None
-
     def test_same_seed_replays_identically(self):
         first = ShardedExperimentRunner(skewed_config())
         a = first.run()
