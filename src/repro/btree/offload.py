@@ -80,6 +80,8 @@ class KvFmSession(FmSession):
 class BTreeOffloadEngine:
     """One-sided B+tree traversal with validation and restarts."""
 
+    COUNTERS = ("meta_reads", "chunks_fetched")
+
     def __init__(
         self,
         sim: Simulator,

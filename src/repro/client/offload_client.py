@@ -36,7 +36,6 @@ import heapq
 import itertools
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..obs.registry import Counter
 from ..obs.trace import NULL_SPAN, NULL_TRACER
 from ..rtree import batch as _batch
 from ..rtree.geometry import Rect
@@ -60,6 +59,8 @@ class OffloadError(Exception):
 
 class OffloadEngine:
     """One-sided tree traversal with retry/restart handling."""
+
+    COUNTERS = ("meta_reads", "stale_root_detections", "chunks_fetched")
 
     def __init__(
         self,
@@ -88,9 +89,9 @@ class OffloadEngine:
         self._cached_root: Optional[int] = None
         self._cached_height: Optional[int] = None
         self._span = NULL_SPAN
-        self.meta_reads = Counter("offload.meta_reads")
-        self.stale_root_detections = Counter("offload.stale_root_detections")
-        self.chunks_fetched = Counter("offload.chunks_fetched")
+        self.meta_reads = 0
+        self.stale_root_detections = 0
+        self.chunks_fetched = 0
         self.cache: Optional[NodeCache] = None
         #: Single-flight table: chunk id -> follower events sharing the
         #: leader's in-flight read.  Only allocated with a cache attached

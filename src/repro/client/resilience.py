@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from ..obs.registry import Counter
 from ..sim.kernel import Simulator
 from .base import READ_OPS
 
@@ -136,6 +135,8 @@ class CircuitBreaker:
       cooldown grown by ``cooldown_factor``.
     """
 
+    COUNTERS = ("trips", "probes", "recoveries", "short_circuits")
+
     def __init__(self, sim: Simulator,
                  params: BreakerParams = BreakerParams()):
         self.sim = sim
@@ -144,10 +145,10 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at = 0.0
         self._cooldown = params.cooldown_s
-        self.trips = Counter("breaker.trips")
-        self.probes = Counter("breaker.probes")
-        self.recoveries = Counter("breaker.recoveries")
-        self.short_circuits = Counter("breaker.short_circuits")
+        self.trips = 0
+        self.probes = 0
+        self.recoveries = 0
+        self.short_circuits = 0
 
     def allow(self) -> bool:
         """Whether the next offload may proceed (may move OPEN→HALF_OPEN)."""

@@ -118,7 +118,7 @@ class ExperimentRunner(Deployment):
         )
         self.metrics.sampler(
             self.sim, "series.requests_completed",
-            lambda: sum(int(s.requests_sent) for s in stats_list),
+            lambda: sum(s.requests_sent for s in stats_list),
             interval=interval, while_fn=alive,
         )
         self.sim.process(self._timeline_sampler(), name="timeline")
@@ -130,10 +130,10 @@ class ExperimentRunner(Deployment):
         prev_offload = prev_total = 0
         while any(d.is_alive for d in self._drivers):
             yield self.sim.timeout(interval)
-            offload = sum(int(s.offloaded_requests)
+            offload = sum(s.offloaded_requests
                           for s in self.client_stats)
             total = sum(
-                int(s.offloaded_requests) + int(s.fast_messaging_requests)
+                s.offloaded_requests + s.fast_messaging_requests
                 for s in self.client_stats
             )
             window_total = total - prev_total
@@ -174,7 +174,7 @@ class ExperimentRunner(Deployment):
         config = self.config
         elapsed = self.elapsed_at_done
         merged = merge_client_stats(self.client_stats)
-        total = int(merged.requests_sent)
+        total = merged.requests_sent
         throughput_kops = (total / elapsed / 1e3) if elapsed > 0 else 0.0
         for name, recorder in (("client.latency_us", merged.latency),
                                ("client.search_latency_us",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Optional
 
-from ..client.base import CLIENT_COUNTER_FIELDS, ClientStats
+from ..client.base import ClientStats
 from ..faults.injector import FaultInjector
 from ..faults.plan import ShardLoss
 from ..hw.host import Host
@@ -48,37 +48,14 @@ if TYPE_CHECKING:
     from ..shard.rebalance import RebalanceController, RebalanceStats
     from ..shard.router import RouterStats, ScatterGatherRouter
 
-#: Client-side counters summed cluster-wide, by owner: offload engines,
-#: their node caches, Algorithm 1 and bandit policies.
-OFFLOAD_FIELDS = ("meta_reads", "stale_root_detections", "chunks_fetched")
-CACHE_FIELDS = ("hits", "misses", "invalidations", "coalesced_reads",
-                "stores", "evictions", "hint_flushes")
-ADAPTIVE_AGGREGATE_FIELDS = (
-    "busy_observations", "backoff_extensions",
-    "heartbeats_consumed", "heartbeats_missing",
-    "decisions_offload", "decisions_fm",
-    "stale_resets", "offload_failovers",
-)
-BANDIT_FIELDS = ("offload_failovers", "breaker_demotions", "explorations")
-
-
-def expose_sums(metrics: MetricsRegistry, prefix: str, owners,
-                fields) -> None:
-    """One pull gauge ``{prefix}.{field}`` per field, summed over
-    ``owners``."""
-    for field in fields:
-        metrics.expose(
-            f"{prefix}.{field}",
-            lambda f=field: sum(int(getattr(o, f)) for o in owners),
-        )
-
 
 def register_session_aggregates(metrics: MetricsRegistry,
                                 sessions) -> None:
-    """Sum per-session client counters into cluster-wide pull gauges.
+    """Sum per-session client counters into cluster-wide counters.
 
-    Covers the offload engines, their node caches and the Algorithm 1 /
-    bandit policies, whatever the deployment shape.
+    Covers the offload engines, their node caches, the Algorithm 1 /
+    bandit policies and the circuit breakers, whatever the deployment
+    shape.
     """
     engines = [e for e in (getattr(s, "engine", None) for s in sessions)
                if e is not None]
@@ -87,14 +64,12 @@ def register_session_aggregates(metrics: MetricsRegistry,
     policies = [getattr(s, "policy", None) for s in sessions]
     adaptive = [p for p in policies if isinstance(p, Algorithm1Policy)]
     bandits = [p for p in policies if isinstance(p, BanditPolicy)]
-    for prefix, owners, fields in (
-        ("offload", engines, OFFLOAD_FIELDS),
-        ("cache", caches, CACHE_FIELDS),
-        ("adaptive", adaptive, ADAPTIVE_AGGREGATE_FIELDS),
-        ("bandit", bandits, BANDIT_FIELDS),
-    ):
-        if owners:
-            expose_sums(metrics, prefix, owners, fields)
+    breakers = [b for b in (getattr(s, "breaker", None) for s in sessions)
+                if b is not None]
+    for prefix, owners in (("offload", engines), ("cache", caches),
+                           ("adaptive", adaptive), ("bandit", bandits),
+                           ("breaker", breakers)):
+        metrics.register_counters(prefix, owners)
     if caches:
         metrics.expose("cache.resident_nodes",
                        lambda: sum(len(c) for c in caches))
@@ -324,37 +299,38 @@ class Deployment:
     def _register_metrics(self) -> None:
         """Hook every component into the metrics registry.
 
-        Server-side objects register their own counters (prefixed
-        ``shard{k}.`` when routed, with cluster-wide sums under the
-        single-server names); client-side counters are per client, so
-        they are summed into pull gauges.
+        Server-side objects register their own metrics (prefixed
+        ``shard{k}.`` when routed, with cluster-wide counter sums under
+        the single-server names); client-side counters are per client,
+        so they are summed over the clients.
         """
         m = self.metrics
+        stacks = self.stacks
         if self.routed:
             m.expose("shard.n_shards", lambda: self.n_shards)
-            for k, stack in enumerate(self.stacks):
+            for k, stack in enumerate(stacks):
                 stack.register_metrics(m, label=f"shard{k}")
-            expose_sums(m, "server", [s.server for s in self.stacks],
-                        ("searches_served", "inserts_served"))
+            m.register_counters("server", [s.server for s in stacks])
+            m.register_counters("server", [s.fm_server for s in stacks])
+            m.register_counters("heartbeat", [
+                s.heartbeats for s in stacks if s.heartbeats is not None])
             m.expose("server.cpu_utilization", self.cpu_utilization)
             m.expose("net.server_bandwidth_gbps", self.bandwidth_gbps)
-            from ..shard.router import RouterStats
-            expose_sums(m, "router", self.router_stats,
-                        RouterStats.FIELDS + RouterStats.REBALANCE_FIELDS)
+            m.register_counters("router", self.router_stats)
         else:
-            self.stacks[0].register_metrics(m)
+            stacks[0].register_metrics(m)
         if self.injector is not None:
-            self.injector.register_metrics(m)
+            m.register_counters("faults", [self.injector])
         # Which scan kernel the whole run (server trees + offload views)
         # is using: 1 = numpy broadcasts, 0 = the pure-Python fallback.
         m.expose(
             "rtree.scan_kernel_numpy",
             lambda: 1 if _scan_kernel.kernel_name() == "numpy" else 0,
         )
-        expose_sums(m, "client", self.client_stats, CLIENT_COUNTER_FIELDS)
+        m.register_counters("client", self.client_stats)
         rebalancer = self.rebalancer
         if rebalancer is not None:
-            rebalancer.stats.register_into(m)
+            m.register_counters("rebalance", [rebalancer.stats])
             m.expose("shard.map_epoch", lambda: rebalancer.shard_map.epoch)
             m.expose("shard.tiles", lambda: len(rebalancer.shard_map.tiles))
         register_session_aggregates(
@@ -440,8 +416,8 @@ class Deployment:
             heartbeats=[s.heartbeats for s in stacks
                         if s.heartbeats is not None],
             searches_served_by_server=sum(
-                int(s.server.searches_served) for s in stacks),
-            inserts_served=sum(int(s.server.inserts_served) for s in stacks),
+                s.server.searches_served for s in stacks),
+            inserts_served=sum(s.server.inserts_served for s in stacks),
             metrics=doc,
             **fields,
         )

@@ -23,7 +23,7 @@ from ..btree import (
     OP_PUT,
     OP_SCAN,
 )
-from ..client.base import CLIENT_COUNTER_FIELDS, ClientStats
+from ..client.base import ClientStats
 from ..cuckoo import CuckooOffloadEngine, CuckooPolicySession, CuckooService
 from ..hw.host import Host
 from ..net.fabric import Network, profile_by_name
@@ -41,7 +41,7 @@ from ..server.heartbeat import HeartbeatService
 from ..sim.kernel import Simulator, all_of
 from ..sim.rng import RngRegistry
 from .builder import closed_loop_driver
-from .deployment import expose_sums
+from .deployment import register_session_aggregates
 from .results import TO_US, RunResult, merge_client_stats, summarize
 
 KV_SCHEMES = ("fast-messaging", "rdma-offloading", "catfish",
@@ -148,7 +148,7 @@ def run_kv_experiment(config: KvExperimentConfig) -> RunResult:
     session_cls = (KvPolicySession if config.index == "btree"
                    else CuckooPolicySession)
     all_stats: List[ClientStats] = []
-    engines: List[Any] = []
+    sessions: List[Any] = []
     drivers = []
     for client_id in range(config.n_clients):
         host = Host(sim, f"client-{client_id}", profile,
@@ -183,7 +183,7 @@ def run_kv_experiment(config: KvExperimentConfig) -> RunResult:
             name=f"kv-client-{client_id}",
         ))
         all_stats.append(stats)
-        engines.append(engine)
+        sessions.append(session)
     heartbeats.start()
 
     metrics = MetricsRegistry()
@@ -192,19 +192,14 @@ def run_kv_experiment(config: KvExperimentConfig) -> RunResult:
     metrics.expose("server.cpu_utilization", server_host.cpu.utilization)
     metrics.expose("net.server_bandwidth_gbps",
                    network.server_bandwidth_gbps)
-    expose_sums(metrics, "client", all_stats, CLIENT_COUNTER_FIELDS)
-    # The two engine families count different things (meta/chunk reads vs
-    # bucket fetches): expose whatever this index's engine actually has.
-    expose_sums(metrics, "offload", engines, [
-        f for f in ("meta_reads", "chunks_fetched", "buckets_fetched",
-                    "stale_root_detections") if hasattr(engines[0], f)
-    ])
+    metrics.register_counters("client", all_stats)
+    register_session_aggregates(metrics, sessions)
 
     sim.run_until_triggered(all_of(sim, drivers))
 
     merged = merge_client_stats(all_stats)
     elapsed = sim.now
-    total = int(merged.requests_sent)
+    total = merged.requests_sent
     metrics.adopt("client.latency_us",
                   LatencyView(merged.latency, scale=TO_US, unit="us",
                               loop="closed"))

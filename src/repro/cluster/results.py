@@ -107,17 +107,14 @@ def result_fingerprint(result: RunResult) -> str:
 
 def merge_client_stats(all_stats: List[ClientStats]) -> ClientStats:
     """Combine per-client stats into one aggregate."""
-    from ..client.base import CLIENT_COUNTER_FIELDS
     merged = ClientStats()
     for stats in all_stats:
         for sample in stats.latency.samples:
             merged.latency.record(sample)
         for sample in stats.search_latency.samples:
             merged.search_latency.record(sample)
-        for name in CLIENT_COUNTER_FIELDS:
-            counter = getattr(merged, name)
-            counter += int(getattr(stats, name))
-            setattr(merged, name, counter)
+        for name in ClientStats.COUNTERS:
+            setattr(merged, name, getattr(merged, name) + getattr(stats, name))
     return merged
 
 
@@ -166,9 +163,9 @@ def summarize(
         server_bandwidth_gbps=bandwidth_gbps,
         server_bandwidth_utilization=bandwidth_gbps * 1e9 / link_bps,
         offload_fraction=counters.offload_fraction,
-        torn_retries=int(counters.torn_retries),
-        search_restarts=int(counters.search_restarts),
-        heartbeats_sent=sum(int(hb.beats_sent) for hb in heartbeats),
-        heartbeats_dropped=sum(int(hb.beats_dropped) for hb in heartbeats),
+        torn_retries=counters.torn_retries,
+        search_restarts=counters.search_restarts,
+        heartbeats_sent=sum(hb.beats_sent for hb in heartbeats),
+        heartbeats_dropped=sum(hb.beats_dropped for hb in heartbeats),
         **fields,
     )

@@ -212,6 +212,8 @@ class CuckooService:
 class CuckooOffloadEngine:
     """Client-side GET: both candidate buckets in one concurrent wave."""
 
+    COUNTERS = ("buckets_fetched",)
+
     def __init__(
         self,
         sim: Simulator,

@@ -429,22 +429,21 @@ def _workload(cfg: ChaosConfig, deployment, client_id: int) -> List[Request]:
 
 #: ``fired_checks`` vocabulary: counter-name -> reader over the deployment.
 _FIRED_COUNTERS: Dict[str, Callable[[Any], int]] = {
-    "packets-dropped": lambda c: int(c.injector.packets_dropped),
-    "latency-injected": lambda c: int(c.injector.latency_injections),
-    "nic-stalls": lambda c: int(c.injector.nic_stalls_injected),
-    "beats-blacked-out": lambda c: int(c.injector.beats_blacked_out),
-    "client-stalls": lambda c: int(c.injector.client_stalls_injected),
-    "write-storms": lambda c: int(c.injector.write_storm_windows),
-    "workers-crashed": lambda c: int(c.stacks[0].fm_server.workers_crashed),
-    "workers-restarted": lambda c: int(
-        c.stacks[0].fm_server.workers_restarted),
-    "requests-shed": lambda c: int(c.stacks[0].fm_server.requests_shed),
-    "breaker-trips": lambda c: sum(int(s.breaker.trips) for s in c.sessions),
+    "packets-dropped": lambda c: c.injector.packets_dropped,
+    "latency-injected": lambda c: c.injector.latency_injections,
+    "nic-stalls": lambda c: c.injector.nic_stalls_injected,
+    "beats-blacked-out": lambda c: c.injector.beats_blacked_out,
+    "client-stalls": lambda c: c.injector.client_stalls_injected,
+    "write-storms": lambda c: c.injector.write_storm_windows,
+    "workers-crashed": lambda c: c.stacks[0].fm_server.workers_crashed,
+    "workers-restarted": lambda c: c.stacks[0].fm_server.workers_restarted,
+    "requests-shed": lambda c: c.stacks[0].fm_server.requests_shed,
+    "breaker-trips": lambda c: sum(s.breaker.trips for s in c.sessions),
     "failovers": lambda c: sum(
-        int(s.policy.offload_failovers) for s in c.sessions
+        s.policy.offload_failovers for s in c.sessions
     ),
     "duplicates-suppressed": lambda c: sum(
-        int(s.duplicates_suppressed) for s in c.client_stats
+        s.duplicates_suppressed for s in c.client_stats
     ),
 }
 
@@ -509,10 +508,10 @@ def client_totals(stats) -> Dict[str, int]:
     """The report's retry / late-answer / unattributable-message totals
     over every client's :class:`~repro.client.base.ClientStats`."""
     return {
-        "retries": sum(int(s.request_retries) for s in stats),
+        "retries": sum(s.request_retries for s in stats),
         "duplicates_suppressed": sum(
-            int(s.duplicates_suppressed) for s in stats),
-        "unexpected_messages": sum(int(s.unexpected_messages) for s in stats),
+            s.duplicates_suppressed for s in stats),
+        "unexpected_messages": sum(s.unexpected_messages for s in stats),
     }
 
 

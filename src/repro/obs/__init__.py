@@ -14,12 +14,9 @@ from .export import (
 from .registry import (
     Counter,
     Gauge,
-    Histogram,
     LatencyView,
     MetricsRegistry,
     WindowSampler,
-    metrics_enabled,
-    set_metrics_enabled,
 )
 from .trace import NULL_SPAN, NULL_TRACER, NullTracer, Span, TraceEvent, Tracer
 
@@ -27,7 +24,6 @@ __all__ = [
     "SCHEMA",
     "Counter",
     "Gauge",
-    "Histogram",
     "LatencyView",
     "MetricsRegistry",
     "NULL_SPAN",
@@ -39,8 +35,6 @@ __all__ = [
     "WindowSampler",
     "dumps",
     "load_metrics_json",
-    "metrics_enabled",
-    "set_metrics_enabled",
     "snapshot_document",
     "write_metrics_json",
 ]

@@ -36,7 +36,7 @@ def _sanitize(value: Any) -> Any:
         return [_sanitize(v) for v in value]
     if isinstance(value, (str, int, bool)) or value is None:
         return value
-    # Counters and other int-likes.
+    # numpy scalars and other int-likes.
     if hasattr(value, "__int__"):
         return int(value)
     return repr(value)

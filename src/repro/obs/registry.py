@@ -1,337 +1,62 @@
-"""The metrics registry: counters, gauges, histograms, windowed samplers.
+"""The metrics registry: counters, gauges, latency views, samplers.
 
 Every component of the reproduction (server, clients, offload engine,
-heartbeat service, ring buffers, transport) registers its counters here so
-one :meth:`MetricsRegistry.snapshot` call captures the whole system — the
-substrate the benchmark JSON artifacts are built from.
+heartbeat service, ring buffers, transport) registers its numbers here
+so one :meth:`MetricsRegistry.snapshot` call captures the whole system —
+the substrate the benchmark JSON artifacts are built from.
 
 Design constraints:
 
+* **Counters are plain ints.**  A counting class keeps each counter as
+  an ``int`` attribute and names it once, in a class-level ``COUNTERS``
+  tuple.  :meth:`MetricsRegistry.register_counters` exposes those names,
+  summed over a list of owners, as pull metrics, so an increment on the
+  hot path is one integer add.
 * **No wall-clock calls.**  Anything time-based (the windowed samplers) is
   driven by the simulation clock, so metrics are deterministic and
   reproducible for a given seed.
-* **Attribute access keeps working.**  :class:`Counter` implements the
-  numeric protocol, so a component field that used to be a plain ``int``
-  (``stats.torn_retries += 1``, ``assert stats.torn_retries == 3``) keeps
-  behaving identically after migrating to a registry-adoptable counter.
-* **Bounded memory.**  Histograms are HDR-style log-linear buckets (a few
-  hundred buckets regardless of sample count); samplers keep a bounded
-  ring of points.
+* **Bounded memory.**  Samplers keep a bounded ring of points.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict, deque
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
-
-
-def _coerce(other: Any) -> Any:
-    """Numeric value of ``other`` for arithmetic with :class:`Counter`."""
-    if isinstance(other, Counter):
-        return other._value
-    return other
-
-
-#: Whether hot-path counter increments record anything.  See
-#: :func:`set_metrics_enabled`.
-_ENABLED = True
-
-
-def metrics_enabled() -> bool:
-    """Whether counter increments are currently recorded."""
-    return _ENABLED
-
-
-def set_metrics_enabled(enabled: bool) -> None:
-    """Globally enable/disable hot-path :class:`Counter` increments.
-
-    The perf bench measures the substrate with and without observability;
-    disabling swaps the increment methods at class level so a disabled
-    increment costs one no-op method call — no flag check per increment
-    anywhere on the hot path.  Snapshots/exports keep working; counters
-    simply stop advancing while disabled.
-    """
-    global _ENABLED
-    _ENABLED = bool(enabled)
-    if _ENABLED:
-        Counter.inc = Counter._inc_recording
-        Counter.__iadd__ = Counter._iadd_recording
-        Counter.__isub__ = Counter._isub_recording
-    else:
-        Counter.inc = Counter._inc_disabled
-        Counter.__iadd__ = Counter._iadd_disabled
-        Counter.__isub__ = Counter._iadd_disabled
-
-
-class Counter:
-    """A monotonic counter that behaves like an ``int``.
-
-    Components keep these as plain attributes (``self.meta_reads``); the
-    numeric protocol below means every pre-existing ``+=`` / comparison /
-    format site keeps working unchanged while the registry can adopt the
-    *object* and see live updates.
-    """
-
-    kind = "counter"
-    __slots__ = ("name", "help", "_value")
-
-    def __init__(self, name: str = "", help: str = "", value: int = 0):
-        self.name = name
-        self.help = help
-        self._value = value
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def _inc_recording(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0, got {amount}")
-        self._value += amount
-
-    def _inc_disabled(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0, got {amount}")
-
-    #: Rebound by :func:`set_metrics_enabled`.
-    inc = _inc_recording
-
-    def reset(self) -> None:
-        self._value = 0
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": "counter", "value": self._value}
-
-    # -- numeric protocol (so `stats.field += 1` etc. keep working) --------
-
-    def __int__(self) -> int:
-        return int(self._value)
-
-    __index__ = __int__
-
-    def __float__(self) -> float:
-        return float(self._value)
-
-    def __bool__(self) -> bool:
-        return bool(self._value)
-
-    def __eq__(self, other: Any) -> bool:
-        return self._value == _coerce(other)
-
-    def __ne__(self, other: Any) -> bool:
-        return self._value != _coerce(other)
-
-    def __lt__(self, other: Any) -> bool:
-        return self._value < _coerce(other)
-
-    def __le__(self, other: Any) -> bool:
-        return self._value <= _coerce(other)
-
-    def __gt__(self, other: Any) -> bool:
-        return self._value > _coerce(other)
-
-    def __ge__(self, other: Any) -> bool:
-        return self._value >= _coerce(other)
-
-    def __add__(self, other: Any):
-        return self._value + _coerce(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Any):
-        return self._value - _coerce(other)
-
-    def __rsub__(self, other: Any):
-        return _coerce(other) - self._value
-
-    def __mul__(self, other: Any):
-        return self._value * _coerce(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Any):
-        return self._value / _coerce(other)
-
-    def __rtruediv__(self, other: Any):
-        return _coerce(other) / self._value
-
-    def __floordiv__(self, other: Any):
-        return self._value // _coerce(other)
-
-    def __mod__(self, other: Any):
-        return self._value % _coerce(other)
-
-    def __neg__(self):
-        return -self._value
-
-    def _iadd_recording(self, other: Any) -> "Counter":
-        self._value += _coerce(other)
-        return self
-
-    def _iadd_disabled(self, other: Any) -> "Counter":
-        return self
-
-    def _isub_recording(self, other: Any) -> "Counter":
-        self._value -= _coerce(other)
-        return self
-
-    #: Rebound by :func:`set_metrics_enabled`.
-    __iadd__ = _iadd_recording
-    __isub__ = _isub_recording
-
-    def __hash__(self) -> int:
-        # Identity hash: counters are mutable registry objects.
-        return id(self)
-
-    def __format__(self, spec: str) -> str:
-        return format(self._value, spec)
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, value={self._value})"
-
-    def __str__(self) -> str:
-        return str(self._value)
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 
 class Gauge:
-    """A point-in-time value: either set explicitly or pulled from ``fn``.
+    """A pull metric: a name plus a function read at snapshot time.
 
-    Callback gauges are how pre-existing attributes (ring watermarks, QP
-    byte counts, CPU utilization) join the registry without changing the
-    component that owns them.
+    Gauges are how derived numbers (ring watermarks, QP byte counts, CPU
+    utilization, queue depths) join the registry without the component
+    that owns them changing.
     """
 
     kind = "gauge"
-    __slots__ = ("name", "help", "_value", "_fn")
+    __slots__ = ("name", "_fn")
 
-    def __init__(self, name: str = "", help: str = "",
-                 fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str, fn: Callable[[], Any]):
         self.name = name
-        self.help = help
-        self._value = 0.0
         self._fn = fn
 
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise ValueError(f"gauge {self.name!r} is callback-backed")
-        self._value = value
-
-    def get(self) -> float:
-        return self._fn() if self._fn is not None else self._value
+    def get(self) -> Any:
+        return self._fn()
 
     def snapshot(self) -> Dict[str, Any]:
-        return {"type": "gauge", "value": self.get()}
+        return {"type": self.kind, "value": self._fn()}
 
     def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, value={self.get()})"
+        return f"{type(self).__name__}({self.name!r}, value={self.get()})"
 
 
-#: Linear sub-buckets per power of two; bounds the relative quantile
-#: error at 1/SUB_BUCKETS (~3%) with a few hundred buckets total.
-SUB_BUCKETS = 32
+class Counter(Gauge):
+    """A pull metric over a count: the sum of plain ``int`` attributes
+    that their owners declare in ``COUNTERS`` (see
+    :meth:`MetricsRegistry.register_counters`)."""
 
-
-class Histogram:
-    """HDR-style log-linear histogram with bounded memory.
-
-    Values land in ``(exponent, sub_bucket)`` cells: the exponent is the
-    power of two of the value, each octave split into :data:`SUB_BUCKETS`
-    linear cells.  Percentiles come from a cumulative walk over the sorted
-    cells, reporting each cell's midpoint — the classic HDR trade: exact
-    counts, ~3% value resolution, O(1) record, O(buckets) memory no matter
-    how many samples are recorded.
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "help", "unit", "_cells", "count", "_sum",
-                 "minimum", "maximum", "_zero")
-
-    def __init__(self, name: str = "", help: str = "", unit: str = ""):
-        self.name = name
-        self.help = help
-        #: Human label for the recorded unit ("seconds", "us", "bytes").
-        self.unit = unit
-        self._cells: Dict[Tuple[int, int], int] = {}
-        self._zero = 0  # samples <= 0 get their own bucket
-        self.count = 0
-        self._sum = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    @staticmethod
-    def _cell_of(value: float) -> Tuple[int, int]:
-        mantissa, exponent = math.frexp(value)  # mantissa in [0.5, 1)
-        sub = int((mantissa * 2.0 - 1.0) * SUB_BUCKETS)  # [0, SUB_BUCKETS)
-        return exponent, min(sub, SUB_BUCKETS - 1)
-
-    @staticmethod
-    def _cell_midpoint(cell: Tuple[int, int]) -> float:
-        exponent, sub = cell
-        low = 0.5 * (1.0 + sub / SUB_BUCKETS)
-        high = 0.5 * (1.0 + (sub + 1) / SUB_BUCKETS)
-        return math.ldexp((low + high) / 2.0, exponent)
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        self._sum += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        if value <= 0.0:
-            self._zero += 1
-            return
-        cell = self._cell_of(value)
-        self._cells[cell] = self._cells.get(cell, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self.count if self.count else math.nan
-
-    @property
-    def n_buckets(self) -> int:
-        return len(self._cells) + (1 if self._zero else 0)
-
-    def percentile(self, p: float) -> float:
-        """Approximate percentile, ``p`` in [0, 100]; NaN when empty."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile {p} outside [0, 100]")
-        if self.count == 0:
-            return math.nan
-        if p == 0.0:
-            return self.minimum
-        target = p / 100.0 * self.count
-        seen = self._zero
-        if seen >= target and self._zero:
-            return min(self.minimum, 0.0)
-        for cell in sorted(self._cells):
-            seen += self._cells[cell]
-            if seen >= target:
-                # Clamp to the observed extremes so p0/p100 are exact.
-                mid = self._cell_midpoint(cell)
-                return min(max(mid, self.minimum), self.maximum)
-        return self.maximum
-
-    def percentiles(self, ps: Tuple[float, ...] = (50, 95, 99)):
-        return {p: self.percentile(p) for p in ps}
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "type": "histogram",
-            "unit": self.unit,
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.minimum if self.count else math.nan,
-            "max": self.maximum if self.count else math.nan,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "p999": self.percentile(99.9),
-        }
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name!r}, count={self.count})"
+    kind = "counter"
+    __slots__ = ()
 
 
 class LatencyView:
@@ -425,7 +150,7 @@ class WindowSampler:
 
 
 class MetricsRegistry:
-    """Name -> metric map with get-or-create factories.
+    """Name -> metric map.
 
     Names are dotted paths (``server.requests_handled``,
     ``client.latency_us``); the registry itself imposes no hierarchy
@@ -434,8 +159,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: "OrderedDict[str, Any]" = OrderedDict()
-
-    # -- factories ---------------------------------------------------------
 
     def _get_or_create(self, name: str, factory, expected_kind: str):
         existing = self._metrics.get(name)
@@ -450,22 +173,28 @@ class MetricsRegistry:
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(
-            name, lambda: Counter(name, help), "counter"
-        )
+    def expose(self, name: str, fn: Callable[[], Any]) -> Gauge:
+        """Register a pull gauge over a derived value (get-or-create)."""
+        return self._get_or_create(name, lambda: Gauge(name, fn), "gauge")
 
-    def gauge(self, name: str, fn: Optional[Callable[[], float]] = None,
-              help: str = "") -> Gauge:
-        return self._get_or_create(
-            name, lambda: Gauge(name, help, fn=fn), "gauge"
-        )
+    def register_counters(self, prefix: str, owners: Sequence) -> None:
+        """Register ``{prefix}.{name}`` for every name in the owners'
+        ``COUNTERS``, each the sum of that attribute over ``owners``.
 
-    def histogram(self, name: str, help: str = "",
-                  unit: str = "") -> Histogram:
-        return self._get_or_create(
-            name, lambda: Histogram(name, help, unit=unit), "histogram"
-        )
+        The one registration path for counters, whatever the deployment
+        shape: one owner gives its own values, K shards or N clients give
+        cluster-wide sums.  ``owners`` is read at snapshot time, so it
+        may still grow; without owners nothing is registered.
+        """
+        def total(field: str) -> Callable[[], int]:
+            return lambda: sum(getattr(o, field) for o in owners)
+
+        if not owners:
+            return
+        for field in owners[0].COUNTERS:
+            name = f"{prefix}.{field}"
+            self._get_or_create(
+                name, lambda: Counter(name, total(field)), "counter")
 
     def sampler(
         self,
@@ -484,11 +213,9 @@ class MetricsRegistry:
         )
         return sampler.start()
 
-    # -- adoption ----------------------------------------------------------
-
     def adopt(self, name: str, metric) -> Any:
         """Register an externally owned metric (anything with
-        ``snapshot()``) under ``name``; the owner keeps mutating it."""
+        ``snapshot()``, e.g. a :class:`LatencyView`) under ``name``."""
         if not hasattr(metric, "snapshot"):
             raise TypeError(
                 f"{type(metric).__name__} has no snapshot(); cannot adopt"
@@ -503,11 +230,6 @@ class MetricsRegistry:
                 pass
         self._metrics[name] = metric
         return metric
-
-    def expose(self, name: str, fn: Callable[[], float],
-               help: str = "") -> Gauge:
-        """Shorthand: register a pull gauge over an existing attribute."""
-        return self.gauge(name, fn=fn, help=help)
 
     # -- introspection -----------------------------------------------------
 

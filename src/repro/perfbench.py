@@ -37,8 +37,7 @@ where ``<run>`` is::
       "kernel_events_per_s": float,
       "search_visits_per_s": float,
       "end_to_end": {
-        "wall_s": float,              # sum over points, observability on
-        "wall_s_obs_off": float,      # ditto, counters disabled (repro.obs)
+        "wall_s": float,              # sum over points
         "points": {                   # per-point detail
           "<name>": {
             "wall_s": float,
@@ -312,9 +311,7 @@ def _time_point(config, repeats: int):
 
 def bench_end_to_end(params: Dict[str, Any],
                      repeats: int = 1) -> Dict[str, Any]:
-    """Both e2e points, timed twice: observability on and off."""
-    from .obs.registry import metrics_enabled, set_metrics_enabled
-
+    """Both e2e points, timed."""
     points: Dict[str, Dict[str, Any]] = {}
     wall_sum = 0.0
     for name, config in _e2e_points(params):
@@ -326,22 +323,7 @@ def bench_end_to_end(params: Dict[str, Any],
             "throughput_kops": result.throughput_kops,
             "total_requests": result.total_requests,
         }
-
-    was_enabled = metrics_enabled()
-    set_metrics_enabled(False)
-    try:
-        wall_off_sum = 0.0
-        for _name, config in _e2e_points(params):
-            wall_off, _ = _time_point(config, repeats)
-            wall_off_sum += wall_off
-    finally:
-        set_metrics_enabled(was_enabled)
-
-    return {
-        "wall_s": wall_sum,
-        "wall_s_obs_off": wall_off_sum,
-        "points": points,
-    }
+    return {"wall_s": wall_sum, "points": points}
 
 
 # -- driver ------------------------------------------------------------------
@@ -367,8 +349,7 @@ def run_perf(scale: Optional[str] = None,
         f"{pname} {p['wall_s']:.2f}s/{p['throughput_kops']:.0f}Kops"
         for pname, p in e2e["points"].items()
     )
-    log(f"[perf] end-to-end: {e2e['wall_s']:.2f}s wall "
-        f"({e2e['wall_s_obs_off']:.2f}s obs off; {detail})")
+    log(f"[perf] end-to-end: {e2e['wall_s']:.2f}s wall ({detail})")
     kernel = bench_kernel_events(params["kernel_loops"], repeats=repeats)
     log(f"[perf] kernel: {kernel['events_per_s']:,.0f} events/s "
         f"({kernel['wall_s']:.2f}s)")

@@ -135,7 +135,7 @@ class ServerStack:
 
     def register_metrics(self, metrics: MetricsRegistry,
                          label: Optional[str] = None) -> None:
-        """Adopt this stack's server-side metrics into ``metrics``.
+        """Register this stack's server-side metrics in ``metrics``.
 
         With ``label`` (e.g. ``"shard3"``) every name is prefixed so K
         stacks coexist in one registry; without it the single-server
@@ -147,10 +147,7 @@ class ServerStack:
         if self.heartbeats is not None:
             self.heartbeats.register_metrics(metrics,
                                              prefix=f"{dot}heartbeat")
-        metrics.expose(f"{dot}server.searches_served",
-                       lambda: int(self.server.searches_served))
-        metrics.expose(f"{dot}server.inserts_served",
-                       lambda: int(self.server.inserts_served))
+        metrics.register_counters(f"{dot}server", [self.server])
         metrics.expose(f"{dot}server.items_held",
                        lambda: self.items_held())
         metrics.expose(f"{dot}server.cpu_utilization",

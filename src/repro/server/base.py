@@ -179,6 +179,10 @@ class MetaTarget:
 class RTreeServer:
     """Scheme-independent server state and request execution."""
 
+    #: The request counters exported as ``server.*``; the delete and
+    #: update counts are not exported.
+    COUNTERS = ("searches_served", "inserts_served")
+
     def __init__(
         self,
         sim: Simulator,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Generator, List, Optional, Tuple
 
 from ..msg.codec import Heartbeat
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import MetricsRegistry
 from ..sim.kernel import Simulator
 
 #: The paper's heartbeat interval.
@@ -92,6 +92,8 @@ class HeartbeatMailbox:
 class HeartbeatService:
     """The server-side module broadcasting utilization to clients."""
 
+    COUNTERS = ("beats_sent", "beats_dropped", "beats_suppressed")
+
     def __init__(
         self,
         sim: Simulator,
@@ -112,9 +114,9 @@ class HeartbeatService:
         #: actual RDMA Write of a heartbeat into that client's ring.
         self._subscribers: List = []
         self._seq = 0
-        self.beats_sent = Counter("heartbeat.beats_sent")
-        self.beats_dropped = Counter("heartbeat.beats_dropped")
-        self.beats_suppressed = Counter("heartbeat.beats_suppressed")
+        self.beats_sent = 0
+        self.beats_dropped = 0
+        self.beats_suppressed = 0
         self.last_utilization = 0.0
         self._proc = None
         #: Optional fault injector (see repro.faults); when set, beats
@@ -130,10 +132,8 @@ class HeartbeatService:
 
     def register_metrics(self, registry: MetricsRegistry,
                          prefix: str = "heartbeat") -> None:
-        """Adopt the service counters into ``registry``."""
-        registry.adopt(f"{prefix}.beats_sent", self.beats_sent)
-        registry.adopt(f"{prefix}.beats_dropped", self.beats_dropped)
-        registry.adopt(f"{prefix}.beats_suppressed", self.beats_suppressed)
+        """Register the service's counters and gauges in ``registry``."""
+        registry.register_counters(prefix, [self])
         registry.expose(f"{prefix}.last_utilization",
                         lambda: self.last_utilization)
         registry.expose(f"{prefix}.seq", lambda: self._seq)

@@ -92,14 +92,14 @@ def run_shard_loss(cfg: ChaosConfig) -> ScenarioReport:
         cfg.fault_start, cfg.fault_end)
 
     def _router_sum(field: str) -> int:
-        return sum(int(getattr(r, field)) for r in runner.router_stats)
+        return sum(getattr(r, field) for r in runner.router_stats)
 
     counters: Dict[str, int] = {
-        "shards-lost": int(runner.injector.shards_lost),
-        "shards-restored": int(runner.injector.shards_restored),
-        "workers-crashed": int(runner.injector.workers_crashed),
-        "workers-restarted": int(runner.injector.workers_restarted),
-        "beats-blacked-out": int(runner.injector.beats_blacked_out),
+        "shards-lost": runner.injector.shards_lost,
+        "shards-restored": runner.injector.shards_restored,
+        "workers-crashed": runner.injector.workers_crashed,
+        "workers-restarted": runner.injector.workers_restarted,
+        "beats-blacked-out": runner.injector.beats_blacked_out,
     }
     for field in RouterStats.FIELDS:
         counters[field.replace("_", "-")] = _router_sum(field)
@@ -228,13 +228,13 @@ def _audit(runner, consistent, window=(0.0, 0.0)):
 def _rebalance_counters(runner) -> Dict[str, int]:
     counters: Dict[str, int] = {}
     if runner.injector is not None:
-        counters["packets-dropped"] = int(runner.injector.packets_dropped)
-    for field in RouterStats.FIELDS + RouterStats.REBALANCE_FIELDS:
+        counters["packets-dropped"] = runner.injector.packets_dropped
+    for field in RouterStats.COUNTERS:
         counters[field.replace("_", "-")] = sum(
-            int(getattr(r, field)) for r in runner.router_stats
+            getattr(r, field) for r in runner.router_stats
         )
-    for field in RebalanceStats.FIELDS:
-        counters["rebalance-" + field.replace("_", "-")] = int(
+    for field in RebalanceStats.COUNTERS:
+        counters["rebalance-" + field.replace("_", "-")] = (
             getattr(runner.rebalance_stats, field)
         )
     counters["map-epoch"] = runner.live_map.epoch
@@ -304,13 +304,13 @@ def run_rebalance_under_fault(cfg: ChaosConfig) -> ScenarioReport:
         ("degraded-results-sound", degraded_mismatches == 0,
          f"{degraded_mismatches} of {degraded_total} degraded results "
          f"were unsound (invented ids / bad ordering)"),
-        ("splits-fired", int(stats.splits) > 0,
-         f"{int(stats.splits)} tile splits"),
+        ("splits-fired", stats.splits > 0,
+         f"{stats.splits} tile splits"),
         ("migrations-completed",
-         int(stats.migrations_completed) > 0
+         stats.migrations_completed > 0
          and not runner.rebalancer.active_migrations,
-         f"{int(stats.migrations_completed)} migrations completed, "
-         f"{int(stats.items_migrated)} items moved"),
+         f"{stats.migrations_completed} migrations completed, "
+         f"{stats.items_migrated} items moved"),
         ("items-conserved", sum(occupancy) == cfg.dataset_size,
          f"final occupancy {occupancy} sums to {sum(occupancy)} "
          f"(dataset {cfg.dataset_size})"),
@@ -406,10 +406,10 @@ def run_migration_racing_writes(cfg: ChaosConfig) -> ScenarioReport:
         ("completed", completed == issued,
          f"{completed}/{issued} requests returned a result"),
         ("migrations-completed",
-         int(stats.migrations_completed) > 0
+         stats.migrations_completed > 0
          and not runner.rebalancer.active_migrations,
-         f"{int(stats.migrations_completed)} migrations completed, "
-         f"{int(stats.items_migrated)} items moved"),
+         f"{stats.migrations_completed} migrations completed, "
+         f"{stats.items_migrated} items moved"),
         ("writes-raced-migration", inserts_in_window > 0,
          f"{inserts_in_window} of {len(acked_inserts)} acked inserts "
          f"landed inside a migration window"),

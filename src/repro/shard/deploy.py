@@ -48,8 +48,7 @@ class ShardedExperimentRunner(ExperimentRunner):
         """RunResult.extra payload (excluded from result fingerprints, so
         the occupancy report is safe to grow)."""
         def total(field: str) -> float:
-            return float(sum(int(getattr(r, field))
-                             for r in self.router_stats))
+            return float(sum(getattr(r, field) for r in self.router_stats))
 
         extra = {
             "n_shards": float(self.n_shards),

@@ -49,7 +49,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..cluster.config import RebalanceConfig
-from ..obs.registry import Counter, MetricsRegistry
 from ..rtree.geometry import Rect
 from ..sim.kernel import Simulator
 from .partition import ShardMap, tile_contains
@@ -60,23 +59,18 @@ __all__ = ["RebalanceConfig", "RebalanceStats", "RebalanceController"]
 class RebalanceStats:
     """Controller accounting, registered as ``rebalance.*`` metrics."""
 
-    FIELDS = (
+    COUNTERS = (
         "cycles", "splits", "merges", "tiles_reassigned",
         "migrations_started", "migrations_completed", "items_migrated",
         "epoch_bumps",
     )
 
     def __init__(self):
-        for name in self.FIELDS:
-            setattr(self, name, Counter())
-
-    def register_into(self, registry: MetricsRegistry,
-                      prefix: str = "rebalance") -> None:
-        for name in self.FIELDS:
-            registry.adopt(f"{prefix}.{name}", getattr(self, name))
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def snapshot(self) -> dict:
-        return {name: int(getattr(self, name)) for name in self.FIELDS}
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
 
 class RebalanceController:

@@ -37,7 +37,6 @@ from ..client.resilience import (
     CircuitBreaker,
     RequestTimeoutError,
 )
-from ..obs.registry import Counter
 from ..sim.kernel import Simulator, all_of
 from .partition import ShardMap
 
@@ -111,22 +110,22 @@ def merge_search_replies(
 class RouterStats:
     """Per-client router accounting (aggregated into cluster metrics)."""
 
-    queries_routed: Counter = field(default_factory=Counter)
-    subqueries_issued: Counter = field(default_factory=Counter)
-    shards_pruned: Counter = field(default_factory=Counter)
-    partial_results: Counter = field(default_factory=Counter)
-    shard_timeouts: Counter = field(default_factory=Counter)
-    shard_offload_errors: Counter = field(default_factory=Counter)
-    shard_skips: Counter = field(default_factory=Counter)
-    duplicates_merged: Counter = field(default_factory=Counter)
+    queries_routed: int = 0
+    subqueries_issued: int = 0
+    shards_pruned: int = 0
+    partial_results: int = 0
+    shard_timeouts: int = 0
+    shard_offload_errors: int = 0
+    shard_skips: int = 0
+    duplicates_merged: int = 0
     #: Reads that detected an epoch bump between scatter and gather and
     #: went back to the map for newly-covering shards.
-    epoch_rescatters: Counter = field(default_factory=Counter)
+    epoch_rescatters: int = 0
     #: Extra sub-queries those re-scatters issued.
-    rescattered_subqueries: Counter = field(default_factory=Counter)
+    rescattered_subqueries: int = 0
 
-    #: The PR 4 counter set.  The shard-loss chaos fingerprint digests
-    #: exactly these, so rebalance-era counters live in
+    #: The static-plane counter set.  The shard-loss chaos fingerprint
+    #: digests exactly these, so rebalance-era counters live in
     #: ``REBALANCE_FIELDS`` — extend that tuple, never this one.
     FIELDS = (
         "queries_routed", "subqueries_issued", "shards_pruned",
@@ -134,6 +133,7 @@ class RouterStats:
         "shard_skips", "duplicates_merged",
     )
     REBALANCE_FIELDS = ("epoch_rescatters", "rescattered_subqueries")
+    COUNTERS = FIELDS + REBALANCE_FIELDS
 
 
 class ScatterGatherRouter:

@@ -14,7 +14,6 @@ from .monitor import (
     ByteCounter,
     LatencyRecorder,
     TallyStats,
-    TimeSeries,
     UtilizationTracker,
 )
 from .resources import (
@@ -37,7 +36,6 @@ __all__ = [
     "ByteCounter",
     "LatencyRecorder",
     "TallyStats",
-    "TimeSeries",
     "UtilizationTracker",
     "BoundedStore",
     "Container",

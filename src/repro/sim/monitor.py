@@ -8,7 +8,7 @@ one of these trackers, so they are deliberately small and heavily tested.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from .kernel import Simulator
 
@@ -172,24 +172,3 @@ class ByteCounter:
             self._window_start = self.sim.now
             self._window_bytes = 0
         return value
-
-
-class TimeSeries:
-    """Sparse (time, value) series for plotting experiment traces."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.points: List[Tuple[float, float]] = []
-
-    def record(self, value: float) -> None:
-        self.points.append((self.sim.now, value))
-
-    def values(self) -> Sequence[float]:
-        return [v for _t, v in self.points]
-
-    def mean(self) -> float:
-        vals = self.values()
-        return sum(vals) / len(vals) if vals else math.nan
-
-    def last(self) -> Optional[float]:
-        return self.points[-1][1] if self.points else None

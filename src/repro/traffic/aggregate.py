@@ -32,6 +32,9 @@ from .mux import ConnectionMux, OK, TrafficJob
 class AggregateClient:
     """One endpoint issuing the superposed load of N virtual users."""
 
+    #: Exported as ``traffic.*`` (``issued`` is not exported).
+    COUNTERS = ("arrivals", "shed_window", "users_touched")
+
     def __init__(
         self,
         sim: Simulator,

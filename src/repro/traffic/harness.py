@@ -163,12 +163,7 @@ class TrafficRunner(Deployment):
     def _register_traffic_metrics(self) -> None:
         m = self.metrics
         self.mux.register_metrics(m)
-        m.expose("traffic.arrivals",
-                 lambda: sum(a.arrivals for a in self.aggregates))
-        m.expose("traffic.shed_window",
-                 lambda: sum(a.shed_window for a in self.aggregates))
-        m.expose("traffic.users_touched",
-                 lambda: sum(a.users_touched for a in self.aggregates))
+        m.register_counters("traffic", self.aggregates)
         m.expose("traffic.in_flight",
                  lambda: sum(a.in_flight for a in self.aggregates))
 
@@ -208,7 +203,7 @@ class TrafficRunner(Deployment):
         users_touched = sum(a.users_touched for a in self.aggregates)
         mux = self.mux
         server_shed = sum(
-            int(s.fm_server.requests_shed) for s in self.stacks
+            s.fm_server.requests_shed for s in self.stacks
             if s.fm_server is not None
         )
         achieved_rps = mux.completed / traffic.duration_s

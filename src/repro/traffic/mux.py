@@ -104,6 +104,9 @@ class ConnectionMux:
     the benchmark harness leaves it off and reads counters only.
     """
 
+    COUNTERS = ("offered", "admitted", "completed", "failed",
+                "shed_watermark", "shed_admission")
+
     def __init__(
         self,
         sim: Simulator,
@@ -191,10 +194,7 @@ class ConnectionMux:
     # -- metrics -----------------------------------------------------------
 
     def register_metrics(self, metrics, prefix: str = "traffic") -> None:
-        for name in ("offered", "admitted", "completed", "failed",
-                     "shed_watermark", "shed_admission"):
-            metrics.expose(f"{prefix}.{name}",
-                           lambda n=name: getattr(self, n))
+        metrics.register_counters(prefix, [self])
         metrics.expose(f"{prefix}.queue_depth", lambda: len(self.queue))
 
     # -- analysis helpers --------------------------------------------------

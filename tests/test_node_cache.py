@@ -117,11 +117,12 @@ def test_cache_metrics_registration():
     cache.note_server_hwm(2)
     cache.store(make_view())
     registry = MetricsRegistry()
-    cache.register_metrics(registry)
-    snap = registry.snapshot()
-    assert snap["cache.stores"]["value"] == 1
-    assert snap["cache.resident_nodes"]["value"] == 1
-    assert snap["cache.server_hwm"]["value"] == 2
+    registry.register_counters("cache", [cache])
+    assert registry.names() == [f"cache.{n}" for n in NodeCache.COUNTERS]
+    assert registry.snapshot()["cache.stores"] == {"type": "counter",
+                                                   "value": 1}
+    cache.lookup(7)  # counters are read live at snapshot time
+    assert registry.snapshot()["cache.hits"]["value"] == 1
 
 
 # -- heartbeat hint plumbing + wire compatibility ----------------------------

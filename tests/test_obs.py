@@ -2,7 +2,6 @@
 
 import json
 import math
-import random
 
 import pytest
 
@@ -10,7 +9,6 @@ from repro.obs import (
     SCHEMA,
     Counter,
     Gauge,
-    Histogram,
     LatencyView,
     MetricsRegistry,
     NULL_SPAN,
@@ -27,106 +25,55 @@ from repro.sim.monitor import LatencyRecorder
 
 
 class TestCounter:
-    def test_behaves_like_int(self):
-        c = Counter("x")
-        c += 1
-        c += 2
-        assert c == 3
-        assert c > 2
-        assert c < 4
-        assert c + 1 == 4
-        assert 10 - c == 7
-        assert c * 2 == 6
-        assert c / 2 == 1.5
-        assert int(c) == 3
-        assert float(c) == 3.0
-        assert bool(c)
-        assert f"{c:>5}" == "    3"
-        assert sum([c, c]) == 6
-
-    def test_iadd_keeps_identity(self):
-        """`stats.field += 1` must keep the registry-adopted object."""
-        c = Counter("x")
-        before = id(c)
-        c += 5
-        assert id(c) == before
-        assert c.value == 5
-
-    def test_inc_rejects_negative(self):
-        c = Counter("x")
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
     def test_snapshot(self):
-        c = Counter("x")
-        c.inc(7)
+        c = Counter("x", lambda: 7)
         assert c.snapshot() == {"type": "counter", "value": 7}
 
 
 class TestGauge:
-    def test_set_and_get(self):
-        g = Gauge("g")
-        g.set(0.5)
-        assert g.get() == 0.5
-        assert g.snapshot() == {"type": "gauge", "value": 0.5}
-
     def test_callback_gauge_is_live(self):
         state = {"v": 1.0}
         g = Gauge("g", fn=lambda: state["v"])
         assert g.get() == 1.0
         state["v"] = 2.0
         assert g.get() == 2.0
-        with pytest.raises(ValueError):
-            g.set(3.0)
+        assert g.snapshot() == {"type": "gauge", "value": 2.0}
 
 
-class TestHistogram:
-    def test_percentiles_close_to_exact(self):
-        """HDR buckets promise ~3% relative error against exact ranks."""
-        rng = random.Random(42)
-        samples = [rng.lognormvariate(3.0, 1.0) for _ in range(20_000)]
-        h = Histogram("h", unit="us")
-        for s in samples:
-            h.record(s)
-        exact = sorted(samples)
-        for p in (50, 95, 99):
-            want = exact[min(len(exact) - 1,
-                             int(p / 100 * len(exact)))]
-            got = h.percentile(p)
-            assert abs(got - want) / want < 0.05
+class Owner:
+    """A counting class: plain int attributes named in ``COUNTERS``."""
 
-    def test_bounded_memory(self):
-        h = Histogram("h")
-        for i in range(1, 100_001):
-            h.record(i * 1e-6)
-        assert h.count == 100_000
-        # log-linear cells: a few hundred regardless of sample count
-        assert h.n_buckets < 600
+    COUNTERS = ("hits", "misses")
 
-    def test_empty_histogram(self):
-        h = Histogram("h")
-        assert math.isnan(h.percentile(50))
-        assert math.isnan(h.mean)
-        snap = h.snapshot()
-        assert snap["count"] == 0
+    def __init__(self):
+        self.hits = 0
+        self.misses = 0
 
-    def test_extremes_are_exact(self):
-        h = Histogram("h")
-        for v in (1.0, 2.0, 3.0):
-            h.record(v)
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 3.0
 
-    def test_zero_and_negative_bucket(self):
-        h = Histogram("h")
-        h.record(0.0)
-        h.record(5.0)
-        assert h.count == 2
-        assert h.minimum == 0.0
+class TestRegisterCounters:
+    def test_sums_over_owners_live(self):
+        m = MetricsRegistry()
+        owners = [Owner(), Owner()]
+        m.register_counters("cache", owners)
+        assert m.names() == ["cache.hits", "cache.misses"]
+        owners[0].hits += 2
+        owners[1].hits += 3
+        snap = m.snapshot()
+        assert snap["cache.hits"] == {"type": "counter", "value": 5}
+        assert snap["cache.misses"] == {"type": "counter", "value": 0}
 
-    def test_percentile_range_validated(self):
-        with pytest.raises(ValueError):
-            Histogram("h").percentile(101)
+    def test_owners_read_at_snapshot_time(self):
+        m = MetricsRegistry()
+        owners = [Owner()]
+        m.register_counters("cache", owners)
+        owners.append(Owner())
+        owners[1].misses = 4
+        assert m.snapshot()["cache.misses"]["value"] == 4
+
+    def test_no_owners_registers_nothing(self):
+        m = MetricsRegistry()
+        m.register_counters("cache", [])
+        assert len(m) == 0
 
 
 class TestLatencyView:
@@ -141,6 +88,21 @@ class TestLatencyView:
         assert snap["min"] == pytest.approx(1.0)
         assert snap["max"] == pytest.approx(3.0)
         assert snap["unit"] == "us"
+
+    def test_empty_recorder_snapshots_nan(self):
+        snap = LatencyView(LatencyRecorder()).snapshot()
+        assert snap["type"] == "histogram"
+        assert snap["count"] == 0
+        assert math.isnan(snap["mean"])
+        assert math.isnan(snap["p50"])
+
+    def test_extremes_are_exact(self):
+        rec = LatencyRecorder()
+        for v in (1.0, 2.0, 3.0):
+            rec.record(v)
+        snap = LatencyView(rec).snapshot()
+        assert (snap["min"], snap["max"]) == (1.0, 3.0)
+        assert snap["p50"] == 2.0
 
 
 class TestWindowSampler:
@@ -174,32 +136,35 @@ class TestWindowSampler:
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):
         m = MetricsRegistry()
-        c1 = m.counter("a.b")
-        c2 = m.counter("a.b")
-        assert c1 is c2
+        g1 = m.expose("a.b", lambda: 1)
+        g2 = m.expose("a.b", lambda: 2)
+        assert g1 is g2
         assert len(m) == 1
 
     def test_kind_collision_rejected(self):
         m = MetricsRegistry()
-        m.counter("a")
+        m.register_counters("c", [Owner()])
         with pytest.raises(ValueError):
-            m.gauge("a")
+            m.expose("c.hits", lambda: 0)
+        with pytest.raises(ValueError):
+            m.sampler(Simulator(), "c.misses", lambda: 0.0, interval=1.0)
 
     def test_adopt_external_counter(self):
         m = MetricsRegistry()
-        c = Counter()
+        state = {"v": 0}
+        c = Counter("", lambda: state["v"])
         m.adopt("x.y", c)
-        c += 3
-        assert m.snapshot()["x.y"]["value"] == 3
+        state["v"] = 3
+        assert m.snapshot()["x.y"] == {"type": "counter", "value": 3}
         assert c.name == "x.y"  # adoption names anonymous metrics
 
     def test_adopt_same_object_twice_ok(self):
         m = MetricsRegistry()
-        c = Counter("c")
+        c = Counter("c", lambda: 0)
         m.adopt("c", c)
         m.adopt("c", c)
         with pytest.raises(ValueError):
-            m.adopt("c", Counter("other"))
+            m.adopt("c", Counter("other", lambda: 0))
 
     def test_adopt_requires_snapshot(self):
         with pytest.raises(TypeError):
@@ -214,11 +179,13 @@ class TestRegistry:
 
     def test_snapshot_covers_everything(self):
         m = MetricsRegistry()
-        m.counter("c").inc()
-        m.gauge("g").set(1.5)
-        m.histogram("h", unit="us").record(2.0)
+        m.register_counters("c", [Owner()])
+        m.expose("g", lambda: 1.5)
+        m.adopt("h", LatencyView(LatencyRecorder(), unit="us"))
         snap = m.snapshot()
-        assert set(snap) == {"c", "g", "h"}
+        assert set(snap) == {"c.hits", "c.misses", "g", "h"}
+        assert snap["c.hits"]["type"] == "counter"
+        assert snap["g"]["type"] == "gauge"
         assert snap["h"]["type"] == "histogram"
 
 
@@ -298,11 +265,14 @@ class TestTracer:
 class TestExport:
     def make_registry(self):
         m = MetricsRegistry()
-        m.counter("requests").inc(5)
-        m.gauge("util").set(0.4)
-        h = m.histogram("lat", unit="us")
+        owner = Owner()
+        owner.hits = 5
+        m.register_counters("cache", [owner])
+        m.expose("util", lambda: 0.4)
+        rec = LatencyRecorder()
         for v in (1.0, 2.0, 3.0):
-            h.record(v)
+            rec.record(v)
+        m.adopt("lat", LatencyView(rec, unit="us"))
         return m
 
     def test_document_shape(self):
@@ -310,7 +280,7 @@ class TestExport:
                                 meta={"scheme": "catfish"})
         assert doc["schema"] == SCHEMA
         assert doc["meta"]["scheme"] == "catfish"
-        assert doc["metrics"]["requests"]["value"] == 5
+        assert doc["metrics"]["cache.hits"]["value"] == 5
         assert "trace" not in doc
 
     def test_trace_included_when_nonempty(self):
@@ -322,16 +292,18 @@ class TestExport:
 
     def test_nan_becomes_null(self):
         m = MetricsRegistry()
-        m.histogram("empty")  # all-NaN percentiles
+        m.adopt("empty", LatencyView(LatencyRecorder()))  # NaN percentiles
         text = dumps(snapshot_document(m))
         parsed = json.loads(text)  # must be strict JSON
         assert parsed["metrics"]["empty"]["p99"] is None
 
     def test_counters_serialize_as_ints(self):
         m = MetricsRegistry()
-        m.adopt("c", Counter("c", value=3))
+        owner = Owner()
+        owner.hits = 3
+        m.register_counters("c", [owner])
         parsed = json.loads(dumps(snapshot_document(m)))
-        assert parsed["metrics"]["c"]["value"] == 3
+        assert parsed["metrics"]["c.hits"] == {"type": "counter", "value": 3}
 
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "metrics.json")

@@ -103,7 +103,7 @@ class TestStats:
     def test_snapshot_names_every_field(self):
         stats = RebalanceStats()
         snap = stats.snapshot()
-        assert set(snap) == set(RebalanceStats.FIELDS)
+        assert set(snap) == set(RebalanceStats.COUNTERS)
         assert all(v == 0 for v in snap.values())
         stats.splits += 3
         assert stats.snapshot()["splits"] == 3

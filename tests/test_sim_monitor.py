@@ -9,7 +9,6 @@ from repro.sim import (
     LatencyRecorder,
     Simulator,
     TallyStats,
-    TimeSeries,
     UtilizationTracker,
 )
 
@@ -174,25 +173,3 @@ class TestByteCounter:
         with pytest.raises(ValueError):
             c.record(-1)
 
-
-class TestTimeSeries:
-    def test_records_time_value_pairs(self):
-        sim = Simulator()
-        ts = TimeSeries(sim)
-
-        def proc(sim, ts):
-            ts.record(1.0)
-            yield sim.timeout(2.0)
-            ts.record(3.0)
-
-        sim.process(proc(sim, ts))
-        sim.run()
-        assert ts.points == [(0.0, 1.0), (2.0, 3.0)]
-        assert ts.mean() == pytest.approx(2.0)
-        assert ts.last() == 3.0
-
-    def test_empty_series(self):
-        sim = Simulator()
-        ts = TimeSeries(sim)
-        assert math.isnan(ts.mean())
-        assert ts.last() is None
